@@ -56,7 +56,7 @@ from .rounding import (
     sample_u,
     support_block,
 )
-from .sampling import rng_substream, sample_count
+from .sampling import rng_substream
 from .simulate import ExperimentConfig, ResultRow, ResultTable, run_mse_experiment
 
 __version__ = "0.1.0"
@@ -107,7 +107,6 @@ __all__ = [
     "rounded_pmf",
     "roots_of_unity",
     "run_mse_experiment",
-    "sample_count",
     "sample_u",
     "support_block",
     "true_significance",

@@ -25,9 +25,10 @@ from .rounding import (
     round_count,
     rounded_logpmf,
     rounded_pmf,
+    sample_u,
     support_block,
 )
-from .sampling import rng_substream, sample_count
+from .sampling import rng_substream
 
 __all__ = [
     "Estimate",
@@ -311,6 +312,10 @@ class MonteCarloResult:
 
 _ESTIMATOR_NAMES = ("u", "closed-mle", "numeric-mle")
 
+#: Replicates per substream block: the unit of reproducibility of a Monte
+#: Carlo cell, and the bound on the number of draws held in memory at once.
+MC_BLOCK = 4096
+
 
 def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
     if name == "u":
@@ -338,63 +343,57 @@ def monte_carlo_mse(model: CountDistribution, scheme: RoundingScheme, estimators
     """Simulated MSE of each estimator against the model's own parameter
     (the rate for Poisson, the success probability otherwise).
 
-    Every replicate draws from its own counter-derived substream, so the
-    result depends only on (seed, stream_key, replicate index) and is
-    bitwise reproducible regardless of evaluation order.  An estimator that
-    fails on any draw yields a flagged result (NaN MSE and the error
-    message) rather than being dropped.
+    Replicates are drawn in blocks of MC_BLOCK latent counts, block b from
+    the substream (seed, stream_key + (b,)), so the result depends only on
+    (seed, stream_key, reps) and is bitwise reproducible regardless of the
+    order in which blocks are evaluated.  The rounded totals are tallied by
+    distinct value, each estimator is evaluated once per distinct total,
+    and the MSE and its standard error are count-weighted sums; memory
+    grows with the block and the number of distinct totals, not with reps.
+    An estimator that fails on any drawn total yields a flagged result (NaN
+    MSE, the number of replicates it failed on and the first error message)
+    rather than being dropped.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    estimators = list(estimators)
     target = model.theta if isinstance(model, Poisson) else model.prob
-
-    fns = {}
-    setup_errors = {}
-    for name in estimators:
-        try:
-            fns[name] = _estimator_fn(name, model, scheme)
-        except ValueError as exc:
-            setup_errors[name] = str(exc)
-
-    sq = {name: np.empty(reps) for name in fns}
-    failures = {name: 0 for name in fns}
-    messages = {name: None for name in fns}
-    cache: dict[tuple[str, int], float] = {}
     key = tuple(int(k) for k in (stream_key if np.ndim(stream_key) else (stream_key,)))
 
-    for i in range(reps):
-        rng = rng_substream(seed, key + (i,))
-        y = sample_count(model, rng)
-        u = scheme.n * round_count(y, scheme.n, scheme.tie_rule)
-        for name, fn in fns.items():
-            ckey = (name, u)
-            try:
-                if ckey not in cache:
-                    cache[ckey] = float(fn(u))
-                err = cache[ckey] - target
-                sq[name][i] = err * err
-            except Exception as exc:  # noqa: BLE001 - flagged, not dropped
-                sq[name][i] = np.nan
-                failures[name] += 1
-                if messages[name] is None:
-                    messages[name] = str(exc)
+    tally: dict[int, int] = {}
+    for b, start in enumerate(range(0, reps, MC_BLOCK)):
+        draws = sample_u(model, scheme, rng_substream(seed, key + (b,)),
+                         size=min(MC_BLOCK, reps - start))
+        values, counts = np.unique(draws, return_counts=True)
+        for u, count in zip(values.tolist(), counts.tolist()):
+            tally[u] = tally.get(u, 0) + count
+    us = sorted(tally)
+    weights = np.array([tally[u] for u in us], dtype=float)
 
     results = []
     for name in estimators:
-        if name in setup_errors:
+        failures, message = 0, None
+        try:
+            fn = _estimator_fn(name, model, scheme)
+        except ValueError as exc:
+            failures, message = reps, str(exc)
+        else:
+            sq = np.empty(len(us))
+            for i, u in enumerate(us):
+                try:
+                    err = float(fn(u)) - target
+                    sq[i] = err * err
+                except Exception as exc:  # noqa: BLE001 - flagged, not dropped
+                    failures += tally[u]
+                    if message is None:
+                        message = str(exc)
+        if failures:
             results.append(MonteCarloResult(estimator=name, mse=float("nan"),
                                             mc_standard_error=float("nan"), reps=reps,
-                                            failures=reps, error=setup_errors[name]))
+                                            failures=failures, error=message))
             continue
-        values = sq[name]
-        if failures[name]:
-            results.append(MonteCarloResult(estimator=name, mse=float("nan"),
-                                            mc_standard_error=float("nan"), reps=reps,
-                                            failures=failures[name], error=messages[name]))
-            continue
-        mse = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        mse = float(np.dot(weights, sq)) / reps
+        dev = sq - mse
+        se = math.sqrt(float(np.dot(weights, dev * dev)) / (reps - 1) / reps) if reps > 1 else 0.0
         results.append(MonteCarloResult(estimator=name, mse=mse, mc_standard_error=se,
                                         reps=reps))
     return results

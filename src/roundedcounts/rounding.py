@@ -115,7 +115,9 @@ class RootsOfUnityTable:
     offset_r: float
 
 
-@lru_cache(maxsize=None)
+# Bounded: each table holds two complex arrays of length n, and a long run
+# may see many distinct n.
+@lru_cache(maxsize=128)
 def roots_of_unity(n: int) -> RootsOfUnityTable:
     j = np.arange(n)
     omega_pow = np.exp(2j * np.pi * j / n)
@@ -168,8 +170,8 @@ def round_count(y, n: int, tie_rule: str = HALF_UP):
         bump = twice >= n
     else:
         bump = (twice > n) | ((twice == n) & (quot % 2 == 1))
-    result = quot + bump
-    return int(result) if arr.ndim == 0 else result
+    quot += bump
+    return int(quot) if arr.ndim == 0 else quot
 
 
 def _check_lattice(u, n: int) -> int:
@@ -391,9 +393,9 @@ def rounded_moments_poisson(theta: float, n: int) -> MomentReport:
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
-    table = roots_of_unity(int(n)) if n >= 1 else None
-    if table is None:
+    if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
+    table = roots_of_unity(int(n))
     recip = np.conj(table.omega_pow[1:])
     gv = np.exp(theta * (recip - 1.0))
     gdv = theta * gv

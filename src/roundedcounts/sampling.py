@@ -1,64 +1,25 @@
 """Deterministic random-number substreams for replicated experiments.
 
-Each replicate gets its own generator derived from (seed, key) through
-numpy's SeedSequence spawn keys, so results are reproducible regardless of
-the order in which replicates are evaluated or how they are distributed
-across workers.
+A Monte Carlo cell splits its replicates into fixed-size blocks, and each
+block draws from its own generator derived from (seed, key) through
+numpy's SeedSequence spawn keys.  Results are therefore reproducible
+regardless of the order in which blocks are evaluated or how they are
+distributed across workers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Binomial, CountDistribution, NegativeBinomial, Poisson
-
-__all__ = ["rng_substream", "sample_count"]
-
-#: Above this mean the Poisson sampler switches from single-uniform cdf
-#: inversion to the library rejection sampler.  Rejection consumes a
-#: variable number of uniforms per draw, which is harmless because each
-#: replicate owns its substream.
-POISSON_INVERSION_LIMIT = 30.0
-
-_INVERSION_MAX_STEPS = 400
+__all__ = ["rng_substream"]
 
 
 def rng_substream(seed: int, key) -> np.random.Generator:
-    """Generator for one replicate, derived from the experiment seed and a
-    replicate index (or tuple of indices).  The same (seed, key) always
-    yields the same stream."""
+    """Generator for one block of replicates, derived from the experiment
+    seed and a block index (or tuple of indices).  The same (seed, key)
+    always yields the same stream."""
     if np.ndim(key) == 0:
         key = (int(key),)
     else:
         key = tuple(int(k) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
-
-
-def _poisson_inversion(theta: float, rng: np.random.Generator) -> int:
-    u = rng.random()
-    p = np.exp(-theta)
-    cum = p
-    k = 0
-    while cum <= u and k < _INVERSION_MAX_STEPS:
-        k += 1
-        p *= theta / k
-        cum += p
-    return k
-
-
-def sample_count(model: CountDistribution, rng: np.random.Generator) -> int:
-    """Draw one latent count from its substream.
-
-    Poisson draws use cdf inversion (exactly one uniform) up to
-    POISSON_INVERSION_LIMIT and the generator's rejection sampler above it;
-    bounded and negative-binomial families use the generator natives.
-    """
-    if isinstance(model, Poisson):
-        if model.theta <= POISSON_INVERSION_LIMIT:
-            return _poisson_inversion(model.theta, rng)
-        return int(rng.poisson(model.theta))
-    if isinstance(model, Binomial):
-        return int(rng.binomial(model.trials, model.prob))
-    if isinstance(model, NegativeBinomial):
-        return int(rng.negative_binomial(model.size, model.prob))
-    raise TypeError(f"unsupported model type {type(model).__name__}")

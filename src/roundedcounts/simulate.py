@@ -3,8 +3,8 @@
 An experiment draws ``reps`` latent totals per (parameter, group count)
 cell, forms the rounded totals, evaluates the requested estimators and
 reports each estimator's MSE with its Monte Carlo standard error.  Each
-replicate uses a substream derived from (seed, cell, replicate), so an
-identical configuration always reproduces the identical result table,
+block of replicates uses a substream derived from (seed, cell, block), so
+an identical configuration always reproduces the identical result table,
 byte for byte, independent of evaluation order or worker count.
 """
 

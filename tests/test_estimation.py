@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from roundedcounts import (
     mse_ratio_curve,
     numeric_mle,
     poisson_mle_closed,
+    rng_substream,
     rounded_pmf,
+    sample_u,
 )
-from roundedcounts.estimation import _estimator_fn
+from roundedcounts import estimation
+from roundedcounts.estimation import MC_BLOCK, _estimator_fn
 
 
 class TestClosedForm:
@@ -196,10 +200,66 @@ class TestMonteCarlo:
     def test_single_replicate_definition(self):
         model, scheme = Poisson(4.0), RoundingScheme(1)
         res = monte_carlo_mse(model, scheme, ["u"], 1, seed=31)[0]
-        from roundedcounts import rng_substream, sample_count
-        y = sample_count(model, rng_substream(31, (0,)))
-        assert res.mse == (y - 4.0) ** 2
+        u = sample_u(model, scheme, rng_substream(31, (0,)), size=1)[0]
+        assert res.mse == (u - 4.0) ** 2
         assert res.mc_standard_error == 0.0
+
+    @staticmethod
+    def block_draws(model, scheme, reps, seed, key):
+        """The rounded totals of every replicate, drawn block by block."""
+        sizes = [min(MC_BLOCK, reps - start) for start in range(0, reps, MC_BLOCK)]
+        return np.concatenate([sample_u(model, scheme, rng_substream(seed, key + (b,)), size=m)
+                               for b, m in enumerate(sizes)])
+
+    def test_blocks_match_per_replicate_reference(self):
+        model, scheme = Poisson(6.0), RoundingScheme(4)
+        reps = 2 * MC_BLOCK + 7
+        names = ["u", "closed-mle"]
+        res = monte_carlo_mse(model, scheme, names, reps, seed=12, stream_key=(3,))
+        us = self.block_draws(model, scheme, reps, 12, (3,))
+        assert len(us) == reps and len(np.unique(us)) > 5
+        for name, r in zip(names, res):
+            fn = _estimator_fn(name, model, scheme)
+            sq = np.array([(fn(int(u)) - 6.0) ** 2 for u in us])
+            assert r.mse == pytest.approx(np.mean(sq), rel=1e-12)
+            assert r.mc_standard_error == pytest.approx(
+                np.std(sq, ddof=1) / math.sqrt(reps), rel=1e-12)
+            assert (r.reps, r.failures, r.error) == (reps, 0, None)
+
+    def test_estimator_called_once_per_distinct_u(self, monkeypatch):
+        calls = []
+        make = estimation._estimator_fn
+
+        def counting(name, model, scheme):
+            fn = make(name, model, scheme)
+
+            def counted(u):
+                calls.append((name, u))
+                return fn(u)
+            return counted
+
+        monkeypatch.setattr(estimation, "_estimator_fn", counting)
+        model, scheme = Poisson(6.0), RoundingScheme(3)
+        reps = 2 * MC_BLOCK + 7
+        monte_carlo_mse(model, scheme, ["u", "closed-mle"], reps, seed=12)
+        distinct = np.unique(self.block_draws(model, scheme, reps, 12, ())).tolist()
+        assert sorted(calls) == sorted((name, u) for name in ("u", "closed-mle")
+                                       for u in distinct)
+
+    def test_memory_does_not_grow_with_reps(self):
+        model, scheme = Poisson(2.0), RoundingScheme(5)
+        tracemalloc.start()
+        try:
+            res = monte_carlo_mse(model, scheme, ["u"], 10**7, seed=3)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One block's draws and rounding temporaries take about five int64
+        # arrays of MC_BLOCK entries, and the interpreter's tuple free list
+        # up to about three more; one float per replicate would be 80 MB.
+        assert peak < 12 * MC_BLOCK * 8
+        exact = exact_mse(float, model, scheme, 2.0)
+        assert abs(res.mse - exact) < 4 * res.mc_standard_error
 
     def test_degenerate_binomial(self):
         res = monte_carlo_mse(Binomial(4, 0.0), RoundingScheme(2), ["u"], 100, seed=1)[0]

@@ -127,6 +127,10 @@ class TestRootsTable:
         expected = [(-1.0) ** j * np.exp(1j * np.pi * j / 3) for j in range(3)]
         assert np.allclose(odd.coeff_a, expected)
 
+    def test_cache_is_bounded(self):
+        maxsize = roots_of_unity.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000
+
 
 class TestRoundedPmf:
     def test_identity_at_n1(self):
@@ -310,6 +314,10 @@ class TestMoments:
         report = rounded_moments_binomial(4, 0.0, 2)
         assert report.mean == pytest.approx(0.0, abs=1e-12)
         assert report.variance == pytest.approx(0.0, abs=1e-12)
+
+    def test_poisson_rejects_fractional_groups(self):
+        with pytest.raises(ValueError):
+            rounded_moments_poisson(2.0, 2.5)
 
     def test_binomial_requires_whole_groups(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,18 @@ from roundedcounts import (
     NegativeBinomial,
     Poisson,
     ResultTable,
+    RoundingScheme,
     rng_substream,
     run_mse_experiment,
-    sample_count,
+    sample_u,
 )
+from roundedcounts.estimation import MC_BLOCK
+
+
+def block_sample(model, seed, blocks, key=()):
+    """Latent counts drawn MC_BLOCK at a time, block b from (seed, key + (b,))."""
+    return np.concatenate([model.sample(rng_substream(seed, key + (b,)), size=MC_BLOCK)
+                           for b in range(blocks)])
 
 
 class TestSubstreams:
@@ -34,20 +42,21 @@ class TestSubstreams:
         assert len(firsts) == 10_000
 
     def test_order_independent_assembly(self):
-        idx = np.arange(2000)
-        in_order = [sample_count(Poisson(4.0), rng_substream(44, int(i))) for i in idx]
+        def block(b):
+            return Poisson(4.0).sample(rng_substream(44, (int(b),)), size=MC_BLOCK)
+
+        idx = np.arange(20)
+        in_order = [block(b) for b in idx]
         rng = np.random.default_rng(0)
         shuffled = idx.copy()
         rng.shuffle(shuffled)
-        out_of_order = {int(i): sample_count(Poisson(4.0), rng_substream(44, int(i)))
-                        for i in shuffled}
-        assert in_order == [out_of_order[int(i)] for i in idx]
+        out_of_order = {int(b): block(b) for b in shuffled}
+        assert all(np.array_equal(in_order[b], out_of_order[b]) for b in idx)
 
 
 class TestSampleCount:
-    def test_inversion_matches_pmf(self):
-        model = Poisson(8.0)
-        draws = np.array([sample_count(model, rng_substream(5, i)) for i in range(100_000)])
+    def test_poisson_matches_pmf(self):
+        draws = block_sample(Poisson(8.0), 5, 25)
         ks = np.arange(0, 30)
         emp = np.bincount(draws, minlength=30)[:30] / len(draws)
         ref = stats.poisson.pmf(ks, 8.0)
@@ -55,16 +64,15 @@ class TestSampleCount:
         assert np.all(np.abs(emp - ref) < 5 * sigma + 1e-9)
 
     def test_large_rate_path(self):
-        model = Poisson(120.0)
-        draws = np.array([sample_count(model, rng_substream(6, i)) for i in range(20_000)])
+        draws = block_sample(Poisson(120.0), 6, 5)
         assert abs(draws.mean() - 120.0) < 5 * np.sqrt(120.0 / len(draws))
         assert abs(draws.var() / 120.0 - 1.0) < 0.05
 
     def test_other_families(self):
-        b = sample_count(Binomial(10, 0.4), rng_substream(1, 0))
-        assert 0 <= b <= 10
-        nb = sample_count(NegativeBinomial(5, 0.6), rng_substream(1, 1))
-        assert nb >= 0
+        b = block_sample(Binomial(10, 0.4), 1, 1, key=(0,))
+        assert b.min() >= 0 and b.max() <= 10
+        nb = block_sample(NegativeBinomial(5, 0.6), 1, 1, key=(1,))
+        assert nb.min() >= 0
 
 
 class TestExperiment:
@@ -92,8 +100,8 @@ class TestExperiment:
     def test_single_replicate_single_cell(self):
         config = self.config(param_grid=(4.0,), n_list=(1,), reps=1, estimators=("u",))
         table = run_mse_experiment(config)
-        y = sample_count(Poisson(4.0), rng_substream(99, (0, 0, 0)))
-        assert table.rows[0].mse == (y - 4.0) ** 2
+        u = sample_u(Poisson(4.0), RoundingScheme(1), rng_substream(99, (0, 0, 0)), size=1)[0]
+        assert table.rows[0].mse == (u - 4.0) ** 2
 
     def test_mse_close_to_exact(self):
         from roundedcounts import RoundingScheme, exact_mse
