@@ -38,7 +38,7 @@ from .applications import (
     excess_point_estimates,
     true_significance,
 )
-from .distributions import Binomial, NegativeBinomial, Poisson
+from .distributions import FAMILIES
 from .estimation import (
     NoMaximumError,
     _estimator_fn,
@@ -96,20 +96,14 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _build_model(args) -> tuple[object, dict]:
-    dist = args.dist
-    if dist == "poisson":
-        if args.theta is None:
-            raise ValueError("--theta is required for the Poisson family")
-        return Poisson(args.theta), {"dist": dist, "theta": args.theta}
-    if dist == "binomial":
-        if args.trials is None or args.prob is None:
-            raise ValueError("--trials and --prob are required for the binomial family")
-        return Binomial(args.trials, args.prob), {"dist": dist, "trials": args.trials, "prob": args.prob}
-    if args.nb_size is None or args.prob is None:
-        raise ValueError("--nb-size and --prob are required for the negative binomial family")
-    return NegativeBinomial(args.nb_size, args.prob), {
-        "dist": dist, "nb_size": args.nb_size, "prob": args.prob,
-    }
+    family = FAMILIES[args.dist]
+    names = [name for name in (family.fixed, family.fitted) if name]
+    values = {name: getattr(args, name) for name in names}
+    if None in values.values():
+        flags = " and ".join("--" + name.replace("_", "-") for name in names)
+        raise ValueError(f"the {family.name} family requires {flags}")
+    model = family.make(values[family.fitted], values.get(family.fixed))
+    return model, {"dist": args.dist, **values}
 
 
 def _resolve(args, name, preset_values, fallback):
@@ -137,7 +131,7 @@ def _add_common(parser: argparse.ArgumentParser, presets=()):
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, default_dist="poisson"):
-    parser.add_argument("--dist", choices=["poisson", "binomial", "negbinomial"],
+    parser.add_argument("--dist", choices=list(FAMILIES),
                         default=default_dist, help="latent count family")
     parser.add_argument("--theta", type=float, default=None, help="Poisson mean of the total")
     parser.add_argument("--trials", type=int, default=None, help="binomial total trial count")
@@ -181,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("mse-sim", help="simulated estimator MSE over a parameter grid")
-    p.add_argument("--dist", choices=["poisson", "binomial", "negbinomial"], default="poisson")
+    p.add_argument("--dist", choices=list(FAMILIES), default="poisson")
     p.add_argument("--param-grid", type=parse_float_list, default=None,
                    metavar="GRID", help="per-measurement means (Poisson) or probabilities")
     p.add_argument("--n-list", type=parse_int_list, default=None)
@@ -194,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, presets=["fig2", "fig3"])
 
     p = sub.add_parser("mse-exact", help="exact estimator MSE by latent enumeration")
-    p.add_argument("--dist", choices=["poisson", "binomial", "negbinomial"], default="poisson")
+    p.add_argument("--dist", choices=list(FAMILIES), default="poisson")
     p.add_argument("--param-grid", type=parse_float_list, required=True)
     p.add_argument("--n-list", type=parse_int_list, required=True)
     p.add_argument("--estimator", choices=["u", "closed-mle", "numeric-mle"], default="u")
@@ -205,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("mse-ratio", help="MSE ratio of fitted parameters: rounded over unrounded counts")
-    p.add_argument("--dist", choices=["poisson", "binomial", "negbinomial"], default=None,
+    p.add_argument("--dist", choices=list(FAMILIES), default=None,
                    help="family (fig6 preset runs all three when omitted)")
     p.add_argument("--param-grid", type=parse_float_list, default=None)
     p.add_argument("--n-list", type=parse_int_list, default=None)
@@ -284,8 +278,8 @@ _RATIO_DEFAULTS = {
 
 def _cmd_pmf(args, seed):
     n_list = _resolve(args, "n_list", {"fig1": {"n_list": [1, 3, 10]}}, [3])
-    if args.preset == "fig1" and args.dist == "poisson" and args.theta is None:
-        args.theta = 2.0
+    if args.preset == "fig1" and args.theta is None:
+        args.theta = 2.0  # read by the Poisson family only
     model, model_cfg = _build_model(args)
     config = {**model_cfg, "n_list": ",".join(map(str, n_list)), "tie_rule": args.tie_rule,
               "tail_eps": args.tail_eps, "seed": seed}
@@ -317,17 +311,24 @@ def _cmd_pgf_check(args, seed):
                     "abs_diff"], rows
 
 
+#: The named closed-form moment routes; the binomial one holds for totals
+#: over whole groups only.
+_CLOSED_MOMENTS = {
+    "poisson": lambda model, n: rounded_moments_poisson(model.theta, n),
+    "binomial": lambda model, n: (rounded_moments_binomial(model.trials, model.prob, n)
+                                  if model.trials % n == 0 else None),
+}
+
+
 def _cmd_moments(args, seed):
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
     rows = []
     series = rounded_moments_series(model, scheme)
     rows.append(["series", series.mean, series.variance, series.imag_residual])
-    if args.dist == "poisson":
-        closed = rounded_moments_poisson(model.theta, args.n)
-        rows.append(["closed-form", closed.mean, closed.variance, closed.imag_residual])
-    elif args.dist == "binomial" and model.trials % args.n == 0:
-        closed = rounded_moments_binomial(model.trials, model.prob, args.n)
+    route = _CLOSED_MOMENTS.get(args.dist)
+    closed = route(model, args.n) if route else None
+    if closed is not None:
         rows.append(["closed-form", closed.mean, closed.variance, closed.imag_residual])
     table = rounded_pmf(model, scheme, 1e-14)
     rows.append(["enumeration", table.mean(), table.variance(), 0.0])
@@ -338,18 +339,10 @@ def _cmd_moments(args, seed):
 def _cmd_mle(args, seed):
     scheme = RoundingScheme(args.n, args.tie_rule)
     rows = []
-    if args.dist == "poisson":
+    if FAMILIES[args.dist].product_form:
         closed = poisson_mle_closed(args.u, args.n)
         rows.append(["closed-form", closed.value, closed.loglik_at_optimum, closed.converged])
-        numeric = numeric_mle(args.u, scheme, "poisson")
-    elif args.dist == "binomial":
-        if args.trials is None:
-            raise ValueError("--trials is required for the binomial family")
-        numeric = numeric_mle(args.u, scheme, "binomial", trials=args.trials)
-    else:
-        if args.nb_size is None:
-            raise ValueError("--nb-size is required for the negative binomial family")
-        numeric = numeric_mle(args.u, scheme, "negbinomial", nb_size=args.nb_size)
+    numeric = numeric_mle(args.u, scheme, args.dist, trials=args.trials, nb_size=args.nb_size)
     rows.append(["numeric", numeric.value, numeric.loglik_at_optimum, numeric.converged])
     config = {"dist": args.dist, "u": args.u, "n": args.n, "tie_rule": args.tie_rule,
               "trials": args.trials, "nb_size": args.nb_size, "seed": seed}
@@ -377,22 +370,17 @@ def _cmd_mse_sim(args, seed):
 
 
 def _cmd_mse_exact(args, seed):
+    experiment = ExperimentConfig(
+        seed=seed, family=args.dist, param_grid=tuple(args.param_grid),
+        n_list=tuple(args.n_list), tie_rule=args.tie_rule,
+        trials_per_measurement=args.trials_per_measurement, nb_size=args.nb_size,
+    )
+    target_attr = FAMILIES[args.dist].fitted
     rows = []
     for param in args.param_grid:
         for n in args.n_list:
-            if args.dist == "poisson":
-                model = Poisson(n * param)
-                target = n * param
-            elif args.dist == "binomial":
-                if args.trials_per_measurement is None:
-                    raise ValueError("--trials-per-measurement is required for the binomial family")
-                model = Binomial(args.trials_per_measurement * n, param)
-                target = param
-            else:
-                if args.nb_size is None:
-                    raise ValueError("--nb-size is required for the negative binomial family")
-                model = NegativeBinomial(args.nb_size, param)
-                target = param
+            model = experiment.model_for(param, n)
+            target = getattr(model, target_attr)
             scheme = RoundingScheme(n, args.tie_rule)
             fn = _estimator_fn(args.estimator, model, scheme)
             mse = exact_mse(fn, model, scheme, target, args.prob_floor)
@@ -412,7 +400,7 @@ def _cmd_mse_ratio(args, seed):
         raise ValueError("--dist is required without the fig6 preset")
     if n_list is None:
         raise ValueError("--n-list is required without the fig6 preset")
-    families = [args.dist] if args.dist else ["poisson", "binomial", "negbinomial"]
+    families = [args.dist] if args.dist else list(FAMILIES)
     rows = []
     for family in families:
         defaults = _RATIO_DEFAULTS[family]

@@ -5,14 +5,21 @@ observed through a rounded average.  All probability evaluations go through
 the log domain (log-gamma for factorials) so that large counts and large
 rate parameters do not overflow.  Generating functions accept complex
 arguments because the rounding machinery evaluates them at roots of unity.
+
+``FAMILIES`` is the one table of what estimation from a rounded total needs
+to know about each family; other modules look a family up there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 from scipy import special, stats
 
-__all__ = ["CountDistribution", "Poisson", "Binomial", "NegativeBinomial"]
+__all__ = ["CountDistribution", "Poisson", "Binomial", "NegativeBinomial", "Family",
+           "FAMILIES", "family_spec"]
 
 
 def _integer_power(z, k: int):
@@ -238,3 +245,92 @@ class NegativeBinomial(CountDistribution):
 
     def sample(self, rng, size=None):
         return rng.negative_binomial(self.size, self.prob, size=size)
+
+
+def geometric_mean(factors) -> float:
+    """Geometric mean of positive values, as the exponential of a mean of logs."""
+    return float(np.exp(np.mean(np.log(factors))))
+
+
+# Block maximum-likelihood estimates of P(lo <= Y <= hi) (see numeric_mle);
+# None means the block has probability 0 for every parameter value.
+
+def _poisson_block_mle(lo: int, hi: int, _fixed) -> float:
+    return 0.0 if lo == 0 else geometric_mean(np.arange(lo, hi + 1, dtype=float))
+
+
+def _binomial_block_mle(lo: int, hi: int, trials: int) -> float | None:
+    if lo > trials:
+        return None
+    if lo == 0:
+        return 0.0
+    if hi >= trials:
+        return 1.0
+    k = np.arange(lo, hi + 1, dtype=float)
+    return float(special.expit(np.mean(np.log(k) - np.log(trials - k))))
+
+
+def _negbinomial_block_mle(lo: int, hi: int, size: float) -> float:
+    if lo == 0:
+        return 1.0
+    # log(1 - p) is the mean of log(k / (k + size)) = -log1p(size / k).
+    k = np.arange(lo, hi + 1, dtype=float)
+    return float(-np.expm1(-np.mean(np.log1p(size / k))))
+
+
+@dataclass(frozen=True)
+class Family:
+    """What estimation from a rounded total needs to know about one family.
+
+    ``make(param, fixed, n=1)`` is the latent total of n measurements with
+    per-measurement parameter ``param`` (the Poisson mean and the binomial
+    trial count scale with n; the negative binomial size is the total's).
+    ``fixed`` is the keyword of the parameter held fixed and ``fixed_attr``
+    the model attribute holding it; ``fitted`` is the model attribute that
+    is estimated, which is also the target of its MSE.  ``block_mle(lo, hi,
+    fixed)`` maximizes P(lo <= Y <= hi); ``plug_in(u, fixed)`` treats the
+    rounded total as the latent count.  Only Poisson has the product form.
+    """
+
+    name: str
+    make: Callable[..., CountDistribution]
+    fitted: str
+    block_mle: Callable[[int, int, float | None], float | None]
+    plug_in: Callable[[int, float | None], float]
+    fixed: str | None = None
+    fixed_attr: str | None = None
+    product_form: bool = False
+
+    def resolve(self, trials=None, nb_size=None):
+        """The fixed parameter among the keyword values; ValueError if missing."""
+        if self.fixed is None:
+            return None
+        value = {"trials": trials, "nb_size": nb_size}[self.fixed]
+        if value is None:
+            raise ValueError(f"the {self.name} family requires {self.fixed}")
+        return value
+
+    def fixed_of(self, model: CountDistribution):
+        return None if self.fixed_attr is None else getattr(model, self.fixed_attr)
+
+
+FAMILIES: dict[str, Family] = {
+    family.name: family for family in (
+        Family("poisson", lambda theta, _, n=1: Poisson(n * theta), fitted="theta",
+               block_mle=_poisson_block_mle, plug_in=lambda u, _: float(u),
+               product_form=True),
+        Family("binomial", lambda prob, trials, n=1: Binomial(trials * n, prob), fitted="prob",
+               block_mle=_binomial_block_mle, plug_in=lambda u, trials: u / trials,
+               fixed="trials", fixed_attr="trials"),
+        Family("negbinomial", lambda prob, size, n=1: NegativeBinomial(size, prob), fitted="prob",
+               block_mle=_negbinomial_block_mle, plug_in=lambda u, size: size / (size + u),
+               fixed="nb_size", fixed_attr="size"),
+    )
+}
+
+
+def family_spec(name: str) -> Family:
+    """The table entry of a family name; ValueError for unknown names."""
+    if name not in FAMILIES:
+        raise ValueError(f"family must be one of {tuple(FAMILIES)}, got {name!r}")
+    return FAMILIES[name]

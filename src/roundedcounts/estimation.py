@@ -2,11 +2,12 @@
 
 Estimation here is interval-censored: observing u only reveals that the
 latent count fell in the block of values rounding to u, so the likelihood
-is the block-summed ("binned") pmf.  For the Poisson family the maximizing
-rate has a product form; every family supports bracketed one-dimensional
-numerical maximization.  The module also provides exact (enumeration-based)
-and Monte Carlo mean squared errors and the rounded-versus-unrounded MSE
-ratio curves used to quantify the inferential cost of rounding.
+is the block-summed ("binned") pmf.  Its maximizer has a closed form for
+every family: the geometric mean of the block's single-point estimates on
+the family's own scale, or a boundary value.  The module also provides
+exact (enumeration-based) and Monte Carlo mean squared errors and the
+rounded-versus-unrounded MSE ratio curves used to quantify the
+inferential cost of rounding.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
-from .distributions import Binomial, CountDistribution, NegativeBinomial, Poisson
+from .distributions import FAMILIES, CountDistribution, Poisson, family_spec, geometric_mean
 from .rounding import (
     HALF_UP,
     RoundingScheme,
@@ -43,15 +43,10 @@ __all__ = [
     "monte_carlo_mse",
 ]
 
-_FAMILIES = ("poisson", "binomial", "negbinomial")
-
-#: Lower bracket edge for the Poisson rate search (on the log scale).
-_POISSON_RATE_FLOOR = 1e-8
-
 
 class NoMaximumError(RuntimeError):
-    """Raised when the binned likelihood is identically zero on the search
-    bracket, so no maximizer exists."""
+    """Raised when the binned likelihood is zero for every parameter value,
+    so no maximizer exists."""
 
 
 @dataclass
@@ -84,114 +79,39 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     factors = np.array([f for f in support_block(u, scheme) if f > 0], dtype=float)
     if factors.size == 0:
         return Estimate(value=0.0, method="closed-form", loglik_at_optimum=0.0, converged=True)
-    value = float(np.exp(np.mean(np.log(factors))))
+    value = geometric_mean(factors)
     loglik = rounded_logpmf(Poisson(value), scheme, u)
     return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik, converged=True)
-
-
-def _model_factory(family: str, trials, nb_size) -> Callable[[float], CountDistribution]:
-    if family == "poisson":
-        return Poisson
-    if family == "binomial":
-        if trials is None:
-            raise ValueError("binomial estimation requires trials")
-        return lambda p: Binomial(trials, p)
-    if family == "negbinomial":
-        if nb_size is None:
-            raise ValueError("negative binomial estimation requires nb_size")
-        return lambda p: NegativeBinomial(nb_size, p)
-    raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-
-
-def _poisson_score_root(u, scheme: RoundingScheme, log_lo: float, log_hi: float):
-    """Interior stationary point of the Poisson block log-likelihood.
-
-    The derivative of the block probability in the rate is the pmf at the
-    point just below the block minus the pmf at its top, so the stationarity
-    condition reduces to a strictly monotone sign comparison of two log-pmf
-    values; bracketed root finding on it is accurate to ~1e-12 in log-rate,
-    far beyond what value-based maximization can resolve for large totals.
-    """
-    block = support_block(u, scheme)
-    below, top = block.start - 1, block.stop - 1
-    if below < 0:
-        return None  # block starts at 0: likelihood decreasing, boundary case
-
-    def score(x: float) -> float:
-        model = Poisson(math.exp(x))
-        return float(model.logpmf(below) - model.logpmf(top))
-
-    s_lo, s_hi = score(log_lo), score(log_hi)
-    if not (s_lo > 0.0 > s_hi):
-        return None
-    return float(optimize.brentq(score, log_lo, log_hi, xtol=1e-13))
 
 
 def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
                 trials: int | None = None, nb_size: float | None = None) -> Estimate:
     """Maximize the binned log-likelihood of u over the single free parameter.
 
-    The Poisson rate is searched on the log scale over
-    [log 1e-8, log(u + n + 10*sqrt(u+1))] and its interior optimum is
-    refined by solving the stationarity condition with bracketed root
-    finding; success probabilities are searched on their natural [0, 1]
-    bracket.  Bracket endpoints are always evaluated so boundary maxima
-    (u = 0, or saturated success counts) are reported exactly; a Poisson
-    search won by the lower edge reports the boundary rate 0.
+    Over the block lo..hi of latent values that round to u, the derivative
+    of P(lo <= Y <= hi) telescopes to two terms whose ratio is monotone in
+    one transform of the parameter, so the maximizer is explicit:
+    Poisson theta = exp(mean(log k)) over k = lo..hi (the product form);
+    binomial with N trials logit p = mean(log k - log(N - k)); negative
+    binomial with size r log(1 - p) = mean(log k - log(k + r)).
+
+    Where the derivative has one sign over the whole range, the supremum is
+    a boundary value at which the model sits on one point of the block
+    (log-likelihood 0): lo = 0 gives the Poisson rate 0, the binomial
+    probability 0 (also when the block covers the whole binomial support,
+    where the likelihood is 1 for every p) and the negative binomial
+    probability 1; a binomial block with lo <= N <= hi gives 1.  A binomial
+    block starting above N has probability 0 and raises NoMaximumError.
     """
-    make = _model_factory(family, trials, nb_size)
-    u = int(u)
-
-    if family == "poisson":
-        lo = math.log(_POISSON_RATE_FLOOR)
-        hi = math.log(u + scheme.n + 10.0 * math.sqrt(u + 1.0))
-        objective = lambda x: -rounded_logpmf(make(math.exp(x)), scheme, u)
-        to_param = math.exp
-    else:
-        eps = 1e-9
-        lo, hi = (eps, 1.0) if family == "negbinomial" else (0.0, 1.0)
-        objective = lambda x: -rounded_logpmf(make(x), scheme, u)
-        to_param = float
-
-    res = optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": 1e-10})
-    edge_loglik = -objective(lo)
-    candidates = [(edge_loglik, lo), (-objective(hi), hi)]
-    if np.isfinite(res.x):
-        candidates.append((-res.fun, res.x))
-        # Brent's termination has a sqrt(eps)*|x| floor; re-centering the
-        # search at the found optimum removes it.
-        center = float(res.x)
-        window = max(1e-3, 1e4 * np.sqrt(np.finfo(float).eps) * abs(center))
-        span_lo = max(lo, center - window)
-        span_hi = min(hi, center + window)
-        polish = optimize.minimize_scalar(lambda d: objective(center + d),
-                                          bounds=(span_lo - center, span_hi - center),
-                                          method="bounded", options={"xatol": 1e-12})
-        if np.isfinite(polish.x):
-            candidates.append((-polish.fun, center + float(polish.x)))
-    best_loglik, best_x = max(candidates, key=lambda c: c[0])
-    if family == "poisson" and u > 0:
-        # The block likelihood is unimodal with a single interior stationary
-        # point; when bracketed it is the global maximum and pins the rate
-        # far more precisely than value comparisons can.
-        root = _poisson_score_root(u, scheme, lo, hi)
-        if root is not None and -objective(root) >= best_loglik - 1e-9:
-            best_loglik, best_x = -objective(root), root
-    if not np.isfinite(best_loglik):
-        raise NoMaximumError(
-            f"binned likelihood of u={u} is zero everywhere on the bracket"
-        )
-    converged = bool(getattr(res, "success", True)) or best_x in (lo, hi)
-    if family == "poisson" and edge_loglik >= best_loglik - 1e-12:
-        # Likelihood decreasing on the whole bracket (happens only at u = 0,
-        # where any interior advantage is roundoff noise): the supremum sits
-        # at the boundary rate 0, where the block probability tends to 1.
-        return Estimate(value=0.0, method="numeric",
-                        loglik_at_optimum=0.0 if u == 0 else float(edge_loglik),
-                        converged=True)
-    return Estimate(value=to_param(best_x), method="numeric",
-                    loglik_at_optimum=float(best_loglik), converged=converged)
+    spec = family_spec(family)
+    fixed = spec.resolve(trials=trials, nb_size=nb_size)
+    block = support_block(u, scheme)
+    value = spec.block_mle(block.start, block.stop - 1, fixed)
+    if value is None:
+        raise NoMaximumError(f"binned likelihood of u={u} is zero for every parameter value")
+    # A zero estimate is the model concentrated at 0, which lies in the block.
+    loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
+    return Estimate(value=value, method="numeric", loglik_at_optimum=loglik, converged=True)
 
 
 def _enumerate_latent(model: CountDistribution, prob_floor: float):
@@ -260,14 +180,8 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     n_list = tuple(int(n) for n in n_list)
     if param_grid.size == 0 or len(n_list) == 0:
         raise ValueError("param_grid and n_list must be non-empty")
-    if family == "poisson":
-        make = Poisson
-    elif family == "binomial":
-        make = lambda p: Binomial(trials, p)
-    elif family == "negbinomial":
-        make = lambda p: NegativeBinomial(nb_size, p)
-    else:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
+    spec = family_spec(family)
+    fixed = spec.resolve(trials=trials, nb_size=nb_size)
 
     fitted: dict[tuple[int, int], float] = {}
 
@@ -282,7 +196,7 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     mse_rounded = np.empty(shape)
     mse_unrounded = np.empty(shape)
     for j, param in enumerate(param_grid):
-        model = make(float(param))
+        model = spec.make(float(param), fixed)
         ks, ps = _enumerate_latent(model, prob_floor)
         plain = np.array([fit(1, int(k)) for k in ks])
         err_plain = plain - param
@@ -318,23 +232,17 @@ MC_BLOCK = 4096
 
 
 def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
+    spec = FAMILIES[model.kind]
+    fixed = spec.fixed_of(model)
     if name == "u":
-        if isinstance(model, Binomial):
-            return lambda u: u / model.trials
-        if isinstance(model, NegativeBinomial):
-            # Plug-in that treats the rounded total as the latent count.
-            return lambda u: model.size / (model.size + u)
-        return float
+        return lambda u: spec.plug_in(u, fixed)
     if name == "closed-mle":
-        if not isinstance(model, Poisson):
+        if not spec.product_form:
             raise ValueError("closed-form estimator is only available for the Poisson family")
         return lambda u: poisson_mle_closed(u, scheme.n).value
     if name == "numeric-mle":
-        if isinstance(model, Binomial):
-            return lambda u: numeric_mle(u, scheme, "binomial", trials=model.trials).value
-        if isinstance(model, NegativeBinomial):
-            return lambda u: numeric_mle(u, scheme, "negbinomial", nb_size=model.size).value
-        return lambda u: numeric_mle(u, scheme, "poisson").value
+        kwargs = {spec.fixed: fixed} if spec.fixed else {}
+        return lambda u: numeric_mle(u, scheme, spec.name, **kwargs).value
     raise ValueError(f"estimator must be one of {_ESTIMATOR_NAMES}, got {name!r}")
 
 
@@ -356,7 +264,7 @@ def monte_carlo_mse(model: CountDistribution, scheme: RoundingScheme, estimators
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    target = model.theta if isinstance(model, Poisson) else model.prob
+    target = getattr(model, FAMILIES[model.kind].fitted)
     key = tuple(int(k) for k in (stream_key if np.ndim(stream_key) else (stream_key,)))
 
     tally: dict[int, int] = {}

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .distributions import CountDistribution, _integer_power
+from .distributions import Binomial, CountDistribution, Poisson
 
 __all__ = [
     "HALF_UP",
@@ -387,27 +387,25 @@ def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> 
 def rounded_moments_poisson(theta: float, n: int) -> MomentReport:
     """Closed-form E(U) and Var(U) for a Poisson latent total with mean theta.
 
-    The products exp(-theta)*exp(theta/omega**j) are fused as
-    exp(theta*(1/omega**j - 1)), whose real exponent part is non-positive,
-    so the evaluation cannot overflow for large theta.
+    This is the series of :func:`rounded_moments_series` with the Poisson
+    generating function, exp(theta*(1/omega**j - 1)), whose real exponent
+    part is non-positive, so the evaluation cannot overflow for large theta.
     """
     if not theta > 0:
         raise ValueError(f"theta must be positive, got {theta}")
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
-    table = roots_of_unity(int(n))
-    recip = np.conj(table.omega_pow[1:])
-    gv = np.exp(theta * (recip - 1.0))
-    gdv = theta * gv
-    return _assemble_moments(theta, theta, gv, gdv, table)
+    return rounded_moments_series(Poisson(theta), RoundingScheme(int(n)))
 
 
 def rounded_moments_binomial(trials: int, prob: float, n: int) -> MomentReport:
     """Closed-form E(U) and Var(U) for a binomial latent total.
 
     The closed form is stated for totals over whole groups, so ``trials``
-    must be a multiple of ``n``.  Powers are taken through the complex log
-    to stay finite for very large trial counts.
+    must be a multiple of ``n``.  It is the series of
+    :func:`rounded_moments_series` with the binomial generating function,
+    whose powers are taken through the complex log to stay finite for very
+    large trial counts.
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
@@ -417,13 +415,7 @@ def rounded_moments_binomial(trials: int, prob: float, n: int) -> MomentReport:
         raise ValueError(f"trials={trials} must be a multiple of n={n}")
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"prob must lie in [0, 1], got {prob}")
-    table = roots_of_unity(int(n))
-    recip = np.conj(table.omega_pow[1:])
-    base = 1.0 - prob + prob * recip
-    gv = _integer_power(base, trials)
-    gdv = trials * prob * _integer_power(base, trials - 1)
-    ey = trials * prob
-    return _assemble_moments(ey, ey * (1.0 - prob), gv, gdv, table)
+    return rounded_moments_series(Binomial(trials, prob), RoundingScheme(int(n)))
 
 
 def sample_u(model: CountDistribution, scheme: RoundingScheme, rng: np.random.Generator, size=None):

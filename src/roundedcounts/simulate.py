@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from .distributions import Binomial, NegativeBinomial, Poisson
+from .distributions import family_spec
 from .estimation import monte_carlo_mse
 from .rounding import HALF_UP, RoundingScheme
 from . import tableio
@@ -50,19 +50,14 @@ class ExperimentConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.param_grid or not self.n_list:
             raise ValueError("param_grid and n_list must be non-empty")
-        if self.family not in ("poisson", "binomial", "negbinomial"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "binomial" and self.trials_per_measurement is None:
-            raise ValueError("binomial experiments require trials_per_measurement")
-        if self.family == "negbinomial" and self.nb_size is None:
-            raise ValueError("negative binomial experiments require nb_size")
+        self._fixed()
+
+    def _fixed(self):
+        return family_spec(self.family).resolve(trials=self.trials_per_measurement,
+                                                nb_size=self.nb_size)
 
     def model_for(self, param: float, n: int):
-        if self.family == "poisson":
-            return Poisson(n * param)
-        if self.family == "binomial":
-            return Binomial(self.trials_per_measurement * n, param)
-        return NegativeBinomial(self.nb_size, param)
+        return family_spec(self.family).make(param, self._fixed(), n)
 
 
 @dataclass

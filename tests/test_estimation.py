@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from roundedcounts import (
     Binomial,
@@ -17,6 +19,7 @@ from roundedcounts import (
     numeric_mle,
     poisson_mle_closed,
     rng_substream,
+    round_count,
     rounded_pmf,
     sample_u,
 )
@@ -106,6 +109,94 @@ class TestNumeric:
             numeric_mle(4, RoundingScheme(2), "binomial")
         with pytest.raises(ValueError):
             numeric_mle(4, RoundingScheme(2), "negbinomial")
+
+
+def latent_block(u, n, tie_rule):
+    """The latent values that round to u, found by direct search."""
+    ks = np.arange(max(u - n, 0), u + n + 1)
+    return ks[n * round_count(ks, n, tie_rule) == u]
+
+
+def block_loglik(family, params, u, n, tie_rule, fixed):
+    """log P(U = u) at each parameter value from scipy pmfs over the block."""
+    ks = latent_block(u, n, tie_rule)[None, :]
+    params = np.asarray(params, dtype=float)[:, None]
+    with np.errstate(divide="ignore"):
+        if family == "poisson":
+            logp = stats.poisson.logpmf(ks, params)
+        elif family == "binomial":
+            logp = stats.binom.logpmf(ks, fixed, params)
+        else:
+            logp = stats.nbinom.logpmf(ks, fixed, params)
+    return np.logaddexp.reduce(logp, axis=1)
+
+
+@st.composite
+def mle_inputs(draw):
+    """A family with its fixed parameter, a scheme and an observed total,
+    with blocks at 0 and at the top of the binomial support drawn often."""
+    family = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
+    n = draw(st.integers(1, 30))
+    tie_rule = draw(st.sampled_from(["half-up", "half-even"]))
+    if family == "binomial":
+        fixed = draw(st.integers(1, 80))
+        top = round_count(fixed, n, tie_rule)
+        v = draw(st.one_of(st.sampled_from([0, top, top + 1]), st.integers(0, top)))
+    else:
+        fixed = draw(st.sampled_from([0.3, 1.0, 2.5, 5.0, 40.0])) if family == "negbinomial" else None
+        v = draw(st.one_of(st.just(0), st.integers(0, 60)))
+    return family, fixed, n * v, RoundingScheme(n, tie_rule)
+
+
+class TestClosedFormMle:
+    @pytest.mark.parametrize("family, fixed, n, u, want", [
+        ("binomial", 10, 10, 0, 0.0),
+        ("binomial", 20, 6, 18, 1.0),
+        ("negbinomial", 5.0, 25, 0, 1.0),
+        ("binomial", 1, 3, 0, 0.0),  # the block 0..1 is the whole support
+    ])
+    def test_boundary_blocks(self, family, fixed, n, u, want):
+        kwargs = {"trials": fixed} if family == "binomial" else {"nb_size": fixed}
+        est = numeric_mle(u, RoundingScheme(n), family, **kwargs)
+        assert est.value == want
+        assert est.loglik_at_optimum == 0.0
+
+    def test_large_poisson_total_is_exact(self):
+        # The block 3e9-1..3e9+1 has geometric mean m (1 - 1/m^2)^(1/3), m = 3e9,
+        # within 1e-19 of m.  exp(mean(log k)) carries the rounding of logs
+        # near 22, about 5e-15 relative.
+        est = numeric_mle(3 * 10**9, RoundingScheme(3))
+        assert est.value == pytest.approx(3e9, rel=1e-14)
+
+    def test_poisson_equals_product_form_off_zero(self):
+        for n in range(1, 13):
+            for v in range(1, 31):
+                assert numeric_mle(v * n, RoundingScheme(n)).value == \
+                    poisson_mle_closed(v * n, n).value, (n, v)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mle_inputs())
+    def test_reaches_dense_grid_maximum(self, case):
+        family, fixed, u, scheme = case
+        kwargs = {"binomial": {"trials": fixed}, "negbinomial": {"nb_size": fixed}}.get(family, {})
+        if family == "binomial" and latent_block(u, scheme.n, scheme.tie_rule)[0] > fixed:
+            with pytest.raises(NoMaximumError):
+                numeric_mle(u, scheme, family, **kwargs)
+            return
+        est = numeric_mle(u, scheme, family, **kwargs)
+        if family == "poisson":
+            grid = np.concatenate([[0.0], np.geomspace(1e-8, 10.0 * (u + scheme.n + 10.0), 4001)])
+        else:
+            grid = np.linspace(1e-9 if family == "negbinomial" else 0.0, 1.0, 4001)
+        best = block_loglik(family, grid, u, scheme.n, scheme.tie_rule, fixed).max()
+        at = block_loglik(family, [est.value], u, scheme.n, scheme.tie_rule, fixed)[0]
+        assert at >= best - 1e-9
+        assert est.loglik_at_optimum == pytest.approx(at, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["binomial", "negbinomial"])
+    def test_ratio_curve_requires_fixed_parameter(self, family):
+        with pytest.raises(ValueError):
+            mse_ratio_curve(family, [0.3], [1, 2])
 
 
 class TestExactMse:

@@ -323,6 +323,34 @@ class TestMoments:
         with pytest.raises(ValueError):
             rounded_moments_binomial(7, 0.4, 2)
 
+    @staticmethod
+    def outcome(route, *args):
+        """A report's fields as exact hex strings, or the error type raised."""
+        try:
+            report = route(*args)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc)
+        return tuple(float(x).hex() for x in (report.mean, report.variance, report.imag_residual))
+
+    def test_named_routes_are_the_series_bit_for_bit(self):
+        raised = 0
+        for theta in (0.1, 0.3, 2.0, 7.3, 158.0, 1000.0):
+            for n in (1, 2, 3, 10, 100, 1000, 5000):
+                want = self.outcome(rounded_moments_series, Poisson(theta), RoundingScheme(n))
+                assert self.outcome(rounded_moments_poisson, theta, n) == want, (theta, n)
+                raised += isinstance(want, type)
+        for n in (1, 2, 5, 10, 50):
+            for groups in (1, 4, 40, 2000):
+                for prob in (0.0, 0.15, 0.5, 0.9, 1.0):
+                    trials = n * groups
+                    want = self.outcome(rounded_moments_series, Binomial(trials, prob),
+                                        RoundingScheme(n))
+                    got = self.outcome(rounded_moments_binomial, trials, prob, n)
+                    assert got == want, (trials, prob, n)
+                    raised += isinstance(want, type)
+        # theta = 0.3 at n = 5000 among others: the series refuses a negative variance
+        assert raised > 0
+
     def test_negative_binomial_series_matches_enumeration(self):
         model = NegativeBinomial(5, 0.4)
         series = rounded_moments_series(model, RoundingScheme(4))
