@@ -43,9 +43,7 @@ from .rounding import (
     RootsOfUnityTable,
     RoundingScheme,
     asymptotic_mle_mean,
-    block_offsets,
     round_count,
-    round_to_nearest,
     rounded_logpmf,
     rounded_moments_binomial,
     rounded_moments_poisson,
@@ -87,7 +85,6 @@ __all__ = [
     "SignificanceCurve",
     "asymptotic_mle_mean",
     "binned_binomial_test",
-    "block_offsets",
     "exact_mse",
     "excess_moments",
     "excess_point_estimates",
@@ -98,7 +95,6 @@ __all__ = [
     "poisson_mle_closed",
     "rng_substream",
     "round_count",
-    "round_to_nearest",
     "rounded_logpmf",
     "rounded_moments_binomial",
     "rounded_moments_poisson",

@@ -15,7 +15,7 @@ Figure presets bundle the settings behind the package's reference plots::
     roundedcounts true-significance --preset fig5   # conservative binned test
     roundedcounts mse-ratio --preset fig6           # rounded/unrounded MSE ratio
 
-Any preset value can be overridden by passing the flag explicitly.
+A preset only changes defaults: any flag passed explicitly wins over it.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ from .rounding import (
     NearRootOfUnityError,
     NumericalInconsistencyError,
     RoundingScheme,
-    rounded_moments_binomial,
-    rounded_moments_poisson,
     rounded_moments_series,
     rounded_pgf,
     rounded_pmf,
@@ -106,14 +104,29 @@ def _build_model(args) -> tuple[object, dict]:
     return model, {"dist": args.dist, **values}
 
 
-def _resolve(args, name, preset_values, fallback):
-    """Explicit flag > preset value > built-in default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    if args.preset and name in preset_values.get(args.preset, {}):
-        return preset_values[args.preset][name]
-    return fallback
+#: Figure presets, written as the flag values they stand for; a flag a
+#: preset does not name keeps its subcommand's built-in default.
+_PRESETS = {
+    "fig1": {"theta": "2", "n_list": "1,3,10"},
+    "fig2": {"param_grid": "0.05:4:0.05", "n_list": "2,5,10,25,50"},
+    "fig3": {"param_grid": "0.2,0.5,1.0,2.0", "n_list": "1,2,5,10,25,50,100,200"},
+    "fig4": {"alpha_list": "0.01,0.05,0.1", "modes": f"{MODE_EXACT_Y},{MODE_MISSPECIFIED_U}"},
+    "fig5": {"alpha_list": "0.01,0.05,0.1", "modes": MODE_BINNED_U},
+    "fig6": {"n_list": "1,2,5,10,25"},
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that applies ``--preset``: the preset's values
+    become the defaults and the arguments are parsed again, so an explicit
+    flag wins over the preset and the preset over the built-in default."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if parsed.preset:
+            self.set_defaults(**_PRESETS[parsed.preset])
+            parsed, extras = super().parse_known_args(args, namespace)
+        return parsed, extras
 
 
 def _add_common(parser: argparse.ArgumentParser, presets=()):
@@ -146,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="roundedcounts",
         description="Exact and simulated inference for counts observed through a rounded average",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("pmf", help="tabulate the distribution of the rounded total")
     _add_model_flags(p)
-    p.add_argument("--n-list", type=parse_int_list, default=None, metavar="N[,N...]",
+    p.add_argument("--n-list", type=parse_int_list, default="3", metavar="N[,N...]",
                    help="group counts (default: 3)")
     p.add_argument("--tie-rule", choices=[HALF_UP, HALF_EVEN], default=HALF_UP)
     p.add_argument("--tail-eps", type=float, default=1e-12)
@@ -168,7 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("mle", help="estimate the free parameter from one rounded total")
-    _add_model_flags(p)
+    p.add_argument("--dist", choices=list(FAMILIES), default="poisson", help="latent count family")
+    p.add_argument("--trials", type=int, default=None, help="binomial total trial count")
+    p.add_argument("--nb-size", type=float, default=None,
+                   help="negative binomial size: counts failures before this many successes")
     p.add_argument("--u", type=int, required=True, help="observed rounded total")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--tie-rule", choices=[HALF_UP, HALF_EVEN], default=HALF_UP)
@@ -179,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param-grid", type=parse_float_list, default=None,
                    metavar="GRID", help="per-measurement means (Poisson) or probabilities")
     p.add_argument("--n-list", type=parse_int_list, default=None)
-    p.add_argument("--reps", type=int, default=None, help="replications per cell (default: 50000)")
-    p.add_argument("--estimators", default=None, metavar="NAME[,NAME...]",
+    p.add_argument("--reps", type=int, default=50_000, help="replications per cell (default: 50000)")
+    p.add_argument("--estimators", default="u,closed-mle", metavar="NAME[,NAME...]",
                    help="subset of u,closed-mle,numeric-mle (default: u,closed-mle)")
     p.add_argument("--trials-per-measurement", type=int, default=None)
     p.add_argument("--nb-size", type=float, default=None)
@@ -206,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="fixed binomial total trial count shared by every group count")
     p.add_argument("--nb-size", type=float, default=None)
-    p.add_argument("--prob-floor", type=float, default=None,
+    p.add_argument("--prob-floor", type=float, default=1e-10,
                    help="latent values with probability above this enter the sums (default: 1e-10)")
     _add_common(p, presets=["fig6"])
 
@@ -219,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("true-significance", help="exact level of the nominal test across null probabilities")
-    p.add_argument("--m", type=int, default=None, help="trials per measurement (default: 500)")
-    p.add_argument("--n", type=int, default=None, help="number of measurements (default: 31)")
-    p.add_argument("--phi0-grid", type=parse_float_list, default=None)
-    p.add_argument("--alpha-list", type=parse_float_list, default=None)
-    p.add_argument("--modes", default=None, metavar="MODE[,MODE...]",
+    p.add_argument("--m", type=int, default=500, help="trials per measurement (default: 500)")
+    p.add_argument("--n", type=int, default=31, help="number of measurements (default: 31)")
+    p.add_argument("--phi0-grid", type=parse_float_list, default="0.1:0.9:0.05")
+    p.add_argument("--alpha-list", type=parse_float_list, default="0.05")
+    p.add_argument("--modes", default=MODE_EXACT_Y, metavar="MODE[,MODE...]",
                    help=f"subset of {MODE_EXACT_Y},{MODE_MISSPECIFIED_U},{MODE_BINNED_U}")
     _add_common(p, presets=["fig4", "fig5"])
 
@@ -239,52 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MSE_SIM_PRESETS = {
-    "fig2": {
-        "param_grid": parse_float_list("0.05:4:0.05"),
-        "n_list": [2, 5, 10, 25, 50],
-        "reps": 50_000,
-        "estimators": "u,closed-mle",
-    },
-    "fig3": {
-        "param_grid": [0.2, 0.5, 1.0, 2.0],
-        "n_list": [1, 2, 5, 10, 25, 50, 100, 200],
-        "reps": 50_000,
-        "estimators": "u,closed-mle",
-    },
-}
-
-_SIGNIFICANCE_PRESETS = {
-    "fig4": {
-        "m": 500, "n": 31,
-        "phi0_grid": parse_float_list("0.1:0.9:0.05"),
-        "alpha_list": [0.01, 0.05, 0.1],
-        "modes": f"{MODE_EXACT_Y},{MODE_MISSPECIFIED_U}",
-    },
-    "fig5": {
-        "m": 500, "n": 31,
-        "phi0_grid": parse_float_list("0.1:0.9:0.05"),
-        "alpha_list": [0.01, 0.05, 0.1],
-        "modes": MODE_BINNED_U,
-    },
-}
-
+#: mse-ratio defaults per family: the parameter grid and the value of the
+#: family's fixed parameter (``--trials`` or ``--nb-size``).
 _RATIO_DEFAULTS = {
-    "poisson": {"param_grid": parse_float_list("0.2:10:0.2"), "trials": None, "nb_size": None},
-    "binomial": {"param_grid": parse_float_list("0.05:0.95:0.05"), "trials": 50, "nb_size": None},
-    "negbinomial": {"param_grid": parse_float_list("0.05:0.95:0.05"), "trials": None, "nb_size": 5.0},
+    "poisson": (parse_float_list("0.2:10:0.2"), None),
+    "binomial": (parse_float_list("0.05:0.95:0.05"), 50),
+    "negbinomial": (parse_float_list("0.05:0.95:0.05"), 5.0),
 }
 
 
 def _cmd_pmf(args, seed):
-    n_list = _resolve(args, "n_list", {"fig1": {"n_list": [1, 3, 10]}}, [3])
-    if args.preset == "fig1" and args.theta is None:
-        args.theta = 2.0  # read by the Poisson family only
     model, model_cfg = _build_model(args)
-    config = {**model_cfg, "n_list": ",".join(map(str, n_list)), "tie_rule": args.tie_rule,
+    config = {**model_cfg, "n_list": ",".join(map(str, args.n_list)), "tie_rule": args.tie_rule,
               "tail_eps": args.tail_eps, "seed": seed}
     rows = []
-    for n in n_list:
+    for n in args.n_list:
         table = rounded_pmf(model, RoundingScheme(n, args.tie_rule), args.tail_eps)
         config[f"truncation_mass_n{n}"] = table.truncation_mass
         rows.extend([n, int(u), float(p)] for u, p in table.items())
@@ -311,25 +296,12 @@ def _cmd_pgf_check(args, seed):
                     "abs_diff"], rows
 
 
-#: The named closed-form moment routes; the binomial one holds for totals
-#: over whole groups only.
-_CLOSED_MOMENTS = {
-    "poisson": lambda model, n: rounded_moments_poisson(model.theta, n),
-    "binomial": lambda model, n: (rounded_moments_binomial(model.trials, model.prob, n)
-                                  if model.trials % n == 0 else None),
-}
-
-
 def _cmd_moments(args, seed):
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
     rows = []
     series = rounded_moments_series(model, scheme)
     rows.append(["series", series.mean, series.variance, series.imag_residual])
-    route = _CLOSED_MOMENTS.get(args.dist)
-    closed = route(model, args.n) if route else None
-    if closed is not None:
-        rows.append(["closed-form", closed.mean, closed.variance, closed.imag_residual])
     table = rounded_pmf(model, scheme, 1e-14)
     rows.append(["enumeration", table.mean(), table.variance(), 0.0])
     config = {**model_cfg, "n": args.n, "seed": seed}
@@ -350,10 +322,7 @@ def _cmd_mle(args, seed):
 
 
 def _cmd_mse_sim(args, seed):
-    param_grid = _resolve(args, "param_grid", _MSE_SIM_PRESETS, None)
-    n_list = _resolve(args, "n_list", _MSE_SIM_PRESETS, None)
-    reps = _resolve(args, "reps", _MSE_SIM_PRESETS, 50_000)
-    estimators = _resolve(args, "estimators", _MSE_SIM_PRESETS, "u,closed-mle")
+    param_grid, n_list, reps, estimators = args.param_grid, args.n_list, args.reps, args.estimators
     if param_grid is None or n_list is None:
         raise ValueError("--param-grid and --n-list are required without a preset")
     config_obj = ExperimentConfig(
@@ -394,27 +363,26 @@ def _cmd_mse_exact(args, seed):
 
 
 def _cmd_mse_ratio(args, seed):
-    n_list = _resolve(args, "n_list", {"fig6": {"n_list": [1, 2, 5, 10, 25]}}, None)
-    prob_floor = args.prob_floor if args.prob_floor is not None else 1e-10
     if args.dist is None and args.preset != "fig6":
         raise ValueError("--dist is required without the fig6 preset")
-    if n_list is None:
+    if args.n_list is None:
         raise ValueError("--n-list is required without the fig6 preset")
     families = [args.dist] if args.dist else list(FAMILIES)
+    config = {"families": ",".join(families), "n_list": ",".join(map(str, args.n_list)),
+              "prob_floor": args.prob_floor, "trials": None, "nb_size": None, "seed": seed}
     rows = []
     for family in families:
-        defaults = _RATIO_DEFAULTS[family]
-        grid = args.param_grid if args.param_grid is not None else defaults["param_grid"]
-        trials = args.trials if args.trials is not None else defaults["trials"]
-        nb_size = args.nb_size if args.nb_size is not None else defaults["nb_size"]
-        curve = mse_ratio_curve(family, grid, n_list, trials=trials, nb_size=nb_size,
-                                prob_floor=prob_floor)
+        default_grid, default_fixed = _RATIO_DEFAULTS[family]
+        grid = args.param_grid if args.param_grid is not None else default_grid
+        name, fixed = FAMILIES[family].fixed, {}
+        if name:
+            value = getattr(args, name)
+            fixed[name] = default_fixed if value is None else value
+        curve = mse_ratio_curve(family, grid, args.n_list, prob_floor=args.prob_floor, **fixed)
         rows.extend([family, param, n, mr, mu, psi]
                     for param, n, mr, mu, psi in curve.iter_rows())
-    config = {"families": ",".join(families), "n_list": ",".join(map(str, n_list)),
-              "prob_floor": prob_floor, "trials": args.trials, "nb_size": args.nb_size,
-              "param_grid": None if args.param_grid is None else ",".join(map(str, args.param_grid)),
-              "seed": seed}
+        config[f"param_grid_{family}"] = ",".join(map(str, grid))
+        config.update(fixed)
     return config, ["family", "param", "n", "mse_rounded", "mse_unrounded", "psi"], rows
 
 
@@ -429,11 +397,7 @@ def _cmd_binned_test(args, seed):
 
 
 def _cmd_true_significance(args, seed):
-    m = _resolve(args, "m", _SIGNIFICANCE_PRESETS, 500)
-    n = _resolve(args, "n", _SIGNIFICANCE_PRESETS, 31)
-    phi0_grid = _resolve(args, "phi0_grid", _SIGNIFICANCE_PRESETS, parse_float_list("0.1:0.9:0.05"))
-    alpha_list = _resolve(args, "alpha_list", _SIGNIFICANCE_PRESETS, [0.05])
-    modes = _resolve(args, "modes", _SIGNIFICANCE_PRESETS, MODE_EXACT_Y)
+    m, n, phi0_grid, alpha_list, modes = args.m, args.n, args.phi0_grid, args.alpha_list, args.modes
     rows = []
     for mode in modes.split(","):
         for alpha in alpha_list:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,6 @@ from .rounding import (
     RoundingScheme,
     round_count,
     rounded_logpmf,
-    rounded_pmf,
     sample_u,
     support_block,
 )
@@ -114,12 +114,33 @@ def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
     return Estimate(value=value, method="numeric", loglik_at_optimum=loglik, converged=True)
 
 
-def _enumerate_latent(model: CountDistribution, prob_floor: float):
-    bound = model.support_bound(min(prob_floor, 1e-12))
-    ks = np.arange(bound + 1)
+def _expectations(model: CountDistribution, prob_floor: float, cases) -> list[float]:
+    """Exact E[fn(U)] for each (fn, scheme) in cases, by one enumeration.
+
+    Sums fn(n*[k/n]) P(Y=k) over the latent k whose probability exceeds
+    ``prob_floor``, evaluating fn once per distinct support point.  A floor
+    that keeps no latent value raises ValueError rather than returning an
+    empty sum.
+    """
+    ks = np.arange(model.support_bound(min(prob_floor, 1e-12)) + 1)
     ps = model.pmf(ks)
-    mask = ps > prob_floor
-    return ks[mask], ps[mask]
+    keep = ps > prob_floor
+    if not keep.any():
+        raise ValueError(f"prob_floor={prob_floor} keeps no latent value")
+    ks, ps = ks[keep], ps[keep]
+    sums = []
+    for fn, scheme in cases:
+        us = scheme.n * round_count(ks, scheme.n, scheme.tie_rule)
+        values = {u: float(fn(int(u))) for u in np.unique(us)}
+        sums.append(float(np.dot([values[u] for u in us], ps)))
+    return sums
+
+
+def _squared_error(estimator: Callable[[int], float], true_param: float):
+    def loss(u: int) -> float:
+        err = float(estimator(u)) - true_param
+        return err * err
+    return loss
 
 
 def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
@@ -130,18 +151,14 @@ def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
     exceeds ``prob_floor``; with n = 1 this is the unrounded case T(k).
     The estimator is evaluated once per distinct support point.
     """
-    ks, ps = _enumerate_latent(model, prob_floor)
-    us = scheme.n * round_count(ks, scheme.n, scheme.tie_rule)
-    values = {u: float(estimator(int(u))) for u in np.unique(us)}
-    errs = np.array([values[u] for u in us]) - true_param
-    return float(np.dot(errs * errs, ps))
+    return _expectations(model, prob_floor, [(_squared_error(estimator, true_param), scheme)])[0]
 
 
 def expected_value_exact(fn: Callable[[int], float], model: CountDistribution,
-                         scheme: RoundingScheme, tail_eps: float = 1e-12) -> float:
-    """Exact E[fn(U)] by enumeration over the tabulated support of U."""
-    table = rounded_pmf(model, scheme, tail_eps)
-    return float(sum(p * fn(int(u)) for u, p in table.items()))
+                         scheme: RoundingScheme, prob_floor: float = 1e-10) -> float:
+    """Exact E[fn(U)] by enumeration over the latent values whose
+    probability exceeds ``prob_floor``."""
+    return _expectations(model, prob_floor, [(fn, scheme)])[0]
 
 
 @dataclass
@@ -186,30 +203,20 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     fitted: dict[tuple[int, int], float] = {}
 
     def fit(n: int, u: int) -> float:
-        key = (n, u)
-        if key not in fitted:
-            fitted[key] = numeric_mle(u, RoundingScheme(n, HALF_UP), family,
-                                      trials=trials, nb_size=nb_size).value
-        return fitted[key]
+        if (n, u) not in fitted:
+            fitted[n, u] = numeric_mle(u, RoundingScheme(n, HALF_UP), family,
+                                       trials=trials, nb_size=nb_size).value
+        return fitted[n, u]
 
-    shape = (len(n_list), param_grid.size)
-    mse_rounded = np.empty(shape)
-    mse_unrounded = np.empty(shape)
+    mse = np.empty((1 + len(n_list), param_grid.size))
     for j, param in enumerate(param_grid):
-        model = spec.make(float(param), fixed)
-        ks, ps = _enumerate_latent(model, prob_floor)
-        plain = np.array([fit(1, int(k)) for k in ks])
-        err_plain = plain - param
-        denominator = float(np.dot(err_plain * err_plain, ps))
-        for i, n in enumerate(n_list):
-            us = n * round_count(ks, n, HALF_UP)
-            rough = np.array([fit(n, int(u)) for u in us])
-            err_rough = rough - param
-            mse_rounded[i, j] = float(np.dot(err_rough * err_rough, ps))
-            mse_unrounded[i, j] = denominator
+        cases = [(_squared_error(partial(fit, n), param), RoundingScheme(n, HALF_UP))
+                 for n in (1, *n_list)]
+        mse[:, j] = _expectations(spec.make(float(param), fixed), prob_floor, cases)
+    mse_unrounded = np.repeat(mse[:1], len(n_list), axis=0)
     return MseRatioCurve(family=family, n_list=n_list, param_grid=param_grid,
-                         mse_rounded=mse_rounded, mse_unrounded=mse_unrounded,
-                         psi=mse_rounded / mse_unrounded)
+                         mse_rounded=mse[1:], mse_unrounded=mse_unrounded,
+                         psi=mse[1:] / mse_unrounded)
 
 
 @dataclass

@@ -9,7 +9,7 @@ probabilities of Y per lattice point.  This module provides:
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only),
 * exact E(U) and Var(U) via the alternating roots-of-unity series, with
-  Poisson and binomial closed forms,
+  input-checked Poisson and binomial entry points,
 * sampling of U, and large-sample reference values for the mean of the
   product-form estimator recovering the Poisson rate from U.
 
@@ -38,9 +38,7 @@ __all__ = [
     "MomentReport",
     "NearRootOfUnityError",
     "NumericalInconsistencyError",
-    "round_to_nearest",
     "round_count",
-    "block_offsets",
     "support_block",
     "roots_of_unity",
     "rounded_pmf",
@@ -131,28 +129,6 @@ def roots_of_unity(n: int) -> RootsOfUnityTable:
     return RootsOfUnityTable(n=n, omega_pow=omega_pow, coeff_a=coeff, offset_r=offset)
 
 
-def round_to_nearest(x: float, tie_rule: str = HALF_UP) -> int:
-    """Round a non-negative real to the nearest integer.
-
-    Exact .5 fractions follow ``tie_rule``.  Tie detection on floats is only
-    reliable when the value is exactly representable; rounding of count
-    ratios should go through :func:`round_count` instead.
-    """
-    if tie_rule not in _TIE_RULES:
-        raise ValueError(f"tie_rule must be one of {_TIE_RULES}, got {tie_rule!r}")
-    if not np.isfinite(x) or x < 0:
-        raise ValueError(f"x must be finite and non-negative, got {x}")
-    base = math.floor(x)
-    frac = x - base
-    if frac > 0.5:
-        return base + 1
-    if frac < 0.5:
-        return base
-    if tie_rule == HALF_UP:
-        return base + 1
-    return base if base % 2 == 0 else base + 1
-
-
 def round_count(y, n: int, tie_rule: str = HALF_UP):
     """Nearest integer to y/n computed exactly on integers (no float ties).
 
@@ -180,33 +156,27 @@ def _check_lattice(u, n: int) -> int:
     return int(u)
 
 
-def block_offsets(u, n: int) -> tuple[int, int]:
-    """Offset g and left edge h of the latent block aggregated into u.
+def _block_bounds(n: int, tie_rule: str, v) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive latent bounds of the blocks rounding to group indices v.
 
-    Under round-half-up, the latent values mapped to support point u are the
-    integers h+g, ..., h+n-1 with h = u - floor(n/2) and g = floor(n/2) at
-    u = 0 (where the block is clipped to non-negative counts) and g = 0
-    elsewhere.
+    Round-half-up maps y = v*n - floor(n/2), ..., v*n + n - 1 - floor(n/2) to
+    v.  Half-even at even n hands each tie value to the even neighbour: even
+    v gains the upper tie value and odd v loses the lower one.  Blocks are
+    clipped to non-negative counts.
     """
-    u = _check_lattice(u, n)
-    g = n // 2 if u == 0 else 0
-    h = u - n // 2
-    return g, h
+    u = v * n
+    lo, hi = u - n // 2, u + (n - 1) - n // 2
+    if tie_rule == HALF_EVEN and n % 2 == 0:
+        odd = v % 2
+        lo, hi = lo + odd, hi + 1 - odd
+    return np.maximum(lo, 0), hi
 
 
 def support_block(u, scheme: RoundingScheme) -> range:
     """Inclusive range of latent counts y with n*[y/n] == u."""
-    n = scheme.n
-    u = _check_lattice(u, n)
-    if scheme.tie_rule == HALF_EVEN and n % 2 == 0:
-        if (u // n) % 2 == 0:
-            lo, hi = u - n // 2, u + n // 2
-        else:
-            lo, hi = u - n // 2 + 1, u + n // 2 - 1
-    else:
-        g, h = block_offsets(u, n)
-        lo, hi = h + g, h + n - 1
-    return range(max(lo, 0), hi + 1)
+    v = _check_lattice(u, scheme.n) // scheme.n
+    lo, hi = _block_bounds(scheme.n, scheme.tie_rule, v)
+    return range(int(lo), int(hi) + 1)
 
 
 @dataclass
@@ -252,19 +222,6 @@ class RoundedPmf:
         z = complex(s) ** self.n
         powers = z ** np.arange(len(self.probs))
         return complex(np.dot(self.probs, powers))
-
-
-def _block_bounds(n: int, tie_rule: str, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized inclusive latent bounds for group indices v."""
-    u = v * n
-    if tie_rule == HALF_EVEN and n % 2 == 0:
-        even = v % 2 == 0
-        lo = np.where(even, u - n // 2, u - n // 2 + 1)
-        hi = np.where(even, u + n // 2, u + n // 2 - 1)
-    else:
-        lo = u - n // 2
-        hi = u + (n - 1) - n // 2
-    return np.maximum(lo, 0), hi
 
 
 def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: float = 1e-12) -> RoundedPmf:

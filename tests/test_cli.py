@@ -52,8 +52,9 @@ def test_moments_output(capsys):
     _, columns, rows = read_csv(io.StringIO(out))
     values = {row[0]: dict(zip(columns[1:], row[1:])) for row in rows}
     report = rounded_moments_poisson(0.1, 2)
+    assert list(values) == ["series", "enumeration"]
     assert values["series"]["mean"] == pytest.approx(0.19063462346100907, abs=1e-15)
-    assert values["closed-form"]["variance"] == report.variance
+    assert values["series"]["variance"] == report.variance
     assert values["enumeration"]["mean"] == pytest.approx(report.mean, abs=1e-10)
 
 
@@ -64,6 +65,56 @@ def test_mle_subcommand(capsys):
     values = {row[0]: row[1] for row in rows}
     assert values["closed-form"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert values["numeric"] == pytest.approx(np.sqrt(2.0), abs=1e-6)
+
+
+def test_mle_rejects_model_flags_it_does_not_read(capsys):
+    for flag in ("--theta", "--prob"):
+        code, out, _ = run_cli(capsys, "mle", "--u", "6", "--n", "3", flag, "0.3")
+        assert code == 2
+        assert out == ""
+
+
+def test_explicit_flags_win_over_presets(capsys):
+    code, out, _ = run_cli(capsys, "pmf", "--preset", "fig1", "--theta", "3", "--n-list", "2")
+    assert code == 0
+    config, _, rows = read_csv(io.StringIO(out))
+    assert (config["theta"], config["n_list"]) == (3.0, 2)
+    assert {row[0] for row in rows} == {2}
+    code, out, _ = run_cli(capsys, "true-significance", "--preset", "fig5", "--n", "11")
+    assert code == 0
+    config, _, _ = read_csv(io.StringIO(out))
+    assert (config["modes"], config["n"], config["m"]) == ("binned-u", 11, 500)
+    assert config["alpha_list"] == "0.01,0.05,0.1"
+
+
+def test_mse_ratio_header_reproduces_a_family(capsys):
+    code, out, _ = run_cli(capsys, "mse-ratio", "--preset", "fig6", "--n-list", "1,2")
+    assert code == 0
+    config, _, _ = read_csv(io.StringIO(out))
+    code, rerun, _ = run_cli(capsys, "mse-ratio", "--dist", "binomial",
+                             "--n-list", config["n_list"],
+                             "--param-grid", config["param_grid_binomial"],
+                             "--trials", str(config["trials"]),
+                             "--nb-size", str(config["nb_size"]),
+                             "--prob-floor", str(config["prob_floor"]))
+    assert code == 0
+
+    def binomial_rows(text):
+        return [line for line in text.splitlines() if line.startswith("binomial,")]
+
+    assert binomial_rows(out) and binomial_rows(rerun) == binomial_rows(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mse-exact", "--param-grid", "1", "--n-list", "3", "--prob-floor", "1"],
+    ["mse-ratio", "--dist", "poisson", "--param-grid", "1", "--n-list", "1,3",
+     "--prob-floor", "0.9"],
+])
+def test_prob_floor_keeping_no_value_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "prob_floor" in json.loads(err.strip())["error"]
 
 
 def test_mse_ratio_unit_at_n1(capsys):

@@ -241,6 +241,15 @@ class TestExactMse:
         assert mse_u == pytest.approx(6.25, abs=1e-4)
         assert mse_mle > 8 * mse_u
 
+    def test_prob_floor_keeping_no_value_is_refused(self):
+        model, scheme = Poisson(1.0), RoundingScheme(3)
+        with pytest.raises(ValueError, match="prob_floor"):
+            exact_mse(float, model, scheme, 1.0, prob_floor=1.0)
+        with pytest.raises(ValueError, match="prob_floor"):
+            expected_value_exact(float, model, scheme, 0.9)
+        with pytest.raises(ValueError, match="prob_floor"):
+            mse_ratio_curve("poisson", [1.0], [1, 3], prob_floor=0.9)
+
     def test_expected_value_matches_moments(self):
         model, scheme = Poisson(5.0), RoundingScheme(4)
         mean = expected_value_exact(float, model, scheme, 1e-13)
@@ -285,6 +294,23 @@ class TestMseRatio:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mse_ratio_curve("poisson", [], [1])
+
+    @pytest.mark.parametrize("family, model_of, fixed", [
+        ("poisson", Poisson, {}),
+        ("binomial", lambda p: Binomial(20, p), {"trials": 20}),
+        ("negbinomial", lambda p: NegativeBinomial(4.0, p), {"nb_size": 4.0}),
+    ])
+    def test_entries_equal_exact_mse_of_the_fit(self, family, model_of, fixed):
+        grid, n_list = [0.3, 0.7], [1, 2, 5]
+        curve = mse_ratio_curve(family, grid, n_list, **fixed)
+        for j, param in enumerate(grid):
+            for i, n in enumerate(n_list):
+                scheme = RoundingScheme(n)
+                fit = lambda u: numeric_mle(u, scheme, family, **fixed).value  # noqa: E731
+                assert curve.mse_rounded[i, j] == exact_mse(fit, model_of(param), scheme, param)
+            fit1 = lambda u: numeric_mle(u, RoundingScheme(1), family, **fixed).value  # noqa: E731
+            unrounded = exact_mse(fit1, model_of(param), RoundingScheme(1), param)
+            assert np.all(curve.mse_unrounded[:, j] == unrounded)
 
 
 class TestMonteCarlo:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,9 +14,7 @@ from roundedcounts import (
     Poisson,
     RoundingScheme,
     asymptotic_mle_mean,
-    block_offsets,
     round_count,
-    round_to_nearest,
     rounded_moments_binomial,
     rounded_moments_poisson,
     rounded_moments_series,
@@ -44,21 +45,21 @@ def brute_force_pmf(model, n, tie_rule, y_max):
 
 class TestRounding:
     def test_half_up(self):
-        assert round_to_nearest(2.5, HALF_UP) == 3
-        assert round_to_nearest(2.49, HALF_UP) == 2
-        assert round_to_nearest(0.0, HALF_UP) == 0
-        assert round_to_nearest(7 / 3, HALF_UP) == 2
+        assert round_count(5, 2, HALF_UP) == 3  # 2.5
+        assert round_count(249, 100, HALF_UP) == 2
+        assert round_count(0, 7, HALF_UP) == 0
+        assert round_count(7, 3, HALF_UP) == 2
 
     def test_half_even(self):
-        assert round_to_nearest(2.5, HALF_EVEN) == 2
-        assert round_to_nearest(3.5, HALF_EVEN) == 4
-        assert round_to_nearest(2.51, HALF_EVEN) == 3
+        assert round_count(5, 2, HALF_EVEN) == 2  # 2.5
+        assert round_count(7, 2, HALF_EVEN) == 4  # 3.5
+        assert round_count(251, 100, HALF_EVEN) == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            round_to_nearest(-0.5)
-        with pytest.raises(ValueError):
             round_count(-1, 3)
+        with pytest.raises(ValueError):
+            round_count(np.array([2, -1]), 3)
 
     def test_round_count_exact_ties(self):
         # ties exist only for even n and are decided on integers
@@ -69,25 +70,32 @@ class TestRounding:
         got = round_count(np.arange(6), 2, HALF_EVEN)
         assert list(got) == [0, 0, 1, 2, 2, 2]
 
-    def test_round_count_matches_float_rounding_off_ties(self):
-        for n in (1, 2, 3, 5, 8):
-            for y in range(0, 60):
-                if n % 2 == 0 and 2 * (y % n) == n:
-                    continue
-                assert round_count(y, n) == round_to_nearest(y / n)
+    def test_round_count_matches_fraction_oracle(self):
+        # exact rationals, ties included: floor(y/n + 1/2) rounds half up,
+        # and Fraction's own round() rounds half to even
+        oracles = {HALF_UP: lambda q: math.floor(q + Fraction(1, 2)), HALF_EVEN: round}
+        ys = np.arange(60)
+        for tie, oracle in oracles.items():
+            for n in (1, 2, 3, 4, 5, 8):
+                expected = [oracle(Fraction(int(y), n)) for y in ys]
+                assert [round_count(int(y), n, tie) for y in ys] == expected
+                assert round_count(ys, n, tie).tolist() == expected
 
 
 class TestBlocks:
-    def test_offsets_examples(self):
-        assert block_offsets(0, 3) == (1, -1)
-        assert block_offsets(3, 3) == (0, 2)
-        assert block_offsets(4, 2) == (0, 3)
+    def test_block_examples(self):
+        assert support_block(0, RoundingScheme(3)) == range(0, 2)
+        assert support_block(3, RoundingScheme(3)) == range(2, 5)
+        assert support_block(4, RoundingScheme(2)) == range(3, 5)
+        # half-even at even n: even indices gain both tie values, odd ones lose them
+        assert support_block(4, RoundingScheme(2, HALF_EVEN)) == range(3, 6)
+        assert support_block(2, RoundingScheme(2, HALF_EVEN)) == range(2, 3)
 
-    def test_offsets_reject_off_lattice(self):
+    def test_block_rejects_off_lattice(self):
         with pytest.raises(ValueError):
-            block_offsets(4, 3)
+            support_block(4, RoundingScheme(3))
         with pytest.raises(ValueError):
-            block_offsets(-3, 3)
+            support_block(-3, RoundingScheme(3))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10])
     @pytest.mark.parametrize("tie", [HALF_UP, HALF_EVEN])
