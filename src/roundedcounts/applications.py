@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distributions import Binomial
 from .estimation import poisson_mle_closed
@@ -113,7 +113,7 @@ def excess_moments(design: ExcessDeathsDesign) -> ExcessMoments:
 def _acceptance_bounds(total: int, phi0: float, alpha: float) -> tuple[float, float]:
     """Bounds of the normal-test acceptance region for the success count."""
     center = total * phi0
-    half = stats.norm.ppf(1.0 - alpha / 2.0) * np.sqrt(total * phi0 * (1.0 - phi0))
+    half = special.ndtri(1.0 - alpha / 2.0) * np.sqrt(total * phi0 * (1.0 - phi0))
     return center - half, center + half
 
 
@@ -159,17 +159,21 @@ def true_significance(m: int, n: int, phi0_grid, alpha: float, mode: str,
     levels = np.empty(phi0_grid.size)
     for idx, phi0 in enumerate(phi0_grid):
         lo, hi = _acceptance_bounds(total, phi0, alpha)
+        model = Binomial(total, phi0)
         if mode == MODE_EXACT_Y:
-            dist = stats.binom(total, phi0)
-            levels[idx] = float(dist.cdf(np.ceil(lo) - 1.0) + dist.sf(np.floor(hi)))
+            levels[idx] = float(model.cdf(np.ceil(lo) - 1.0) + model.sf(np.floor(hi)))
         elif mode == MODE_MISSPECIFIED_U:
-            table = rounded_pmf(Binomial(total, phi0), scheme)
+            table = rounded_pmf(model, scheme)
             support = table.support
             outside = (support < lo) | (support > hi)
-            levels[idx] = float(np.sum(table.probs[outside]))
+            # A side's off-window mass counts when the lattice point next to
+            # the table is outside the acceptance interval, and with it every
+            # point beyond; otherwise it is left out, an error below 1e-12.
+            below = table.mass_below if support[0] - scheme.n < lo else 0.0
+            above = table.mass_above if support[-1] + scheme.n > hi else 0.0
+            levels[idx] = float(np.sum(table.probs[outside])) + below + above
         else:
-            result = _binned_region(total, scheme, float(phi0), alpha)
-            levels[idx] = result[2]
+            levels[idx] = _binned_region(model, scheme, alpha)[2]
     return SignificanceCurve(m=int(m), n=int(n), phi0_grid=phi0_grid,
                              nominal_alpha=float(alpha), true_level=levels, mode=mode)
 
@@ -184,7 +188,7 @@ class BinnedTestResult:
     upper_cut: int | None
 
 
-def _binned_region(total: int, scheme: RoundingScheme, phi0: float, alpha: float):
+def _binned_region(model: Binomial, scheme: RoundingScheme, alpha: float):
     """Equal-tail rejection cuts on the rounded lattice and the exact level.
 
     The lower cut is the largest support point whose lower tail holds at
@@ -192,11 +196,16 @@ def _binned_region(total: int, scheme: RoundingScheme, phi0: float, alpha: float
     tail holds at most alpha/2.  The attained level therefore never exceeds
     alpha.
     """
-    table = rounded_pmf(Binomial(total, phi0), scheme)
-    probs = table.probs
-    support = table.support
+    # The lattice point next to each end of the table stands for the whole
+    # off-window mass of its side.  That mass is below alpha/2, so a cut
+    # beyond the table can only fall on that point.
+    table = rounded_pmf(model, scheme, min(1e-12, alpha / 2.0))
+    n, count = table.n, len(table.probs)
+    keep = [table.mass_below > 0, *[True] * count, table.mass_above > 0]
+    probs = np.concatenate(([table.mass_below], table.probs, [table.mass_above]))[keep]
+    support = n * np.arange(table.first - 1, table.first + count + 1)[keep]
     lower_tail = np.cumsum(probs)
-    upper_tail = (np.cumsum(probs[::-1])[::-1]) + table.truncation_mass
+    upper_tail = np.cumsum(probs[::-1])[::-1]
 
     lower_ok = np.nonzero(lower_tail <= alpha / 2.0)[0]
     upper_ok = np.nonzero(upper_tail <= alpha / 2.0)[0]
@@ -226,7 +235,7 @@ def binned_binomial_test(u, m: int, n: int, phi0: float, alpha: float,
     scheme = RoundingScheme(int(n), tie_rule)
     u = _check_lattice(u, scheme.n)
     total = int(m) * int(n)
-    lower_cut, upper_cut, level = _binned_region(total, scheme, float(phi0), float(alpha))
+    lower_cut, upper_cut, level = _binned_region(Binomial(total, float(phi0)), scheme, float(alpha))
     reject = (lower_cut is not None and u <= lower_cut) or (
         upper_cut is not None and u >= upper_cut
     )

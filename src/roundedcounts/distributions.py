@@ -1,10 +1,12 @@
-"""Latent count distributions: pmf, pgf, and support truncation.
+"""Latent count distributions: pmf, tails, pgf, and the support window.
 
 These are the hidden non-negative integer variables whose totals are only
 observed through a rounded average.  All probability evaluations go through
 the log domain (log-gamma for factorials) so that large counts and large
-rate parameters do not overflow.  Generating functions accept complex
-arguments because the rounding machinery evaluates them at roots of unity.
+rate parameters do not overflow.  Tails come from ``scipy.special``
+(regularized incomplete gamma and beta functions).  Generating functions
+accept complex arguments because the rounding machinery evaluates them at
+roots of unity.
 
 ``FAMILIES`` is the one table of what estimation from a rounded total needs
 to know about each family; other modules look a family up there.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 __all__ = ["CountDistribution", "Poisson", "Binomial", "NegativeBinomial", "Family",
            "FAMILIES", "family_spec"]
@@ -52,6 +54,7 @@ class CountDistribution:
         return np.exp(self.logpmf(k))
 
     def cdf(self, k):
+        """P(Y <= k)."""
         raise NotImplementedError
 
     def sf(self, k):
@@ -73,23 +76,36 @@ class CountDistribution:
         """Largest support point, or None when the support is unbounded."""
         return None
 
-    def support_bound(self, tail_eps: float) -> int:
-        """Smallest k_max with P(Y > k_max) < tail_eps.
+    def support_window(self, tail_eps: float) -> tuple[int, int]:
+        """Latent range (lo, hi) outside which each tail holds less than tail_eps.
 
-        Bounded distributions return their largest support point outright.
+        ``lo`` is the smallest k with P(Y <= k) >= tail_eps (0 whenever
+        P(Y = 0) >= tail_eps) and ``hi`` the smallest k with
+        P(Y > k) < tail_eps, at most the largest support point.
         """
         if not 0.0 < tail_eps < 1.0:
             raise ValueError("tail_eps must be in (0, 1)")
+        return (self._first_true(lambda k: self.cdf(k) >= tail_eps),
+                self._first_true(lambda k: self.sf(k) < tail_eps))
+
+    def _first_true(self, pred: Callable[[int], bool]) -> int:
+        """Smallest k >= 0 with pred(k), for pred false up to some k and true after.
+
+        Bisection over mean +- 10 sd; the bracket halves toward 0 or doubles
+        outward (up to the largest support point) until it holds the answer.
+        """
+        mean, spread = self.mean(), 10.0 * np.sqrt(self.variance())
+        lo, hi = max(0, int(mean - spread)), max(1, int(mean + spread + 10.0))
         top = self.upper_support()
         if top is not None:
-            return top
-        hi = max(1, int(self.mean() + 10.0 * np.sqrt(self.variance()) + 10.0))
-        while self.sf(hi) >= tail_eps:
-            hi *= 2
-        lo = 0
+            hi = min(hi, top)
+        while lo > 0 and pred(lo):
+            lo //= 2
+        while not pred(hi):
+            hi = 2 * hi if top is None else min(2 * hi, top)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.sf(mid) < tail_eps:
+            if pred(mid):
                 hi = mid
             else:
                 lo = mid + 1
@@ -121,10 +137,12 @@ class Poisson(CountDistribution):
         return np.where(k >= 0, out, -np.inf)[()]
 
     def cdf(self, k):
-        return stats.poisson.cdf(k, self.theta)
+        k = np.floor(k)
+        return np.where(k < 0, 0.0, special.pdtr(np.maximum(k, 0.0), self.theta))[()]
 
     def sf(self, k):
-        return stats.poisson.sf(k, self.theta)
+        k = np.floor(k)
+        return np.where(k < 0, 1.0, special.pdtrc(np.maximum(k, 0.0), self.theta))[()]
 
     def pgf(self, s):
         s = np.asarray(s, dtype=complex)
@@ -168,11 +186,19 @@ class Binomial(CountDistribution):
             out = choose + special.xlogy(k, p) + special.xlog1py(n - k, -p)
         return np.where((k >= 0) & (k <= n), out, -np.inf)[()]
 
+    # Incomplete beta forms rather than special.bdtr/bdtrc, which lose
+    # accuracy at large trial counts (off by 0.40 at k = mean, 1e9 trials).
     def cdf(self, k):
-        return stats.binom.cdf(k, self.trials, self.prob)
+        k = np.floor(k)
+        inner = np.clip(k, 0.0, self.trials - 1.0)
+        out = special.betainc(self.trials - inner, inner + 1.0, 1.0 - self.prob)
+        return np.where(k < 0, 0.0, np.where(k >= self.trials, 1.0, out))[()]
 
     def sf(self, k):
-        return stats.binom.sf(k, self.trials, self.prob)
+        k = np.floor(k)
+        inner = np.clip(k, 0.0, self.trials - 1.0)
+        out = special.betainc(inner + 1.0, self.trials - inner, self.prob)
+        return np.where(k < 0, 1.0, np.where(k >= self.trials, 0.0, out))[()]
 
     def pgf(self, s):
         s = np.asarray(s, dtype=complex)
@@ -225,10 +251,14 @@ class NegativeBinomial(CountDistribution):
         return np.where(k >= 0, out, -np.inf)[()]
 
     def cdf(self, k):
-        return stats.nbinom.cdf(k, self.size, self.prob)
+        k = np.floor(k)
+        out = special.betainc(self.size, np.maximum(k, 0.0) + 1.0, self.prob)
+        return np.where(k < 0, 0.0, out)[()]
 
     def sf(self, k):
-        return stats.nbinom.sf(k, self.size, self.prob)
+        k = np.floor(k)
+        out = special.betaincc(self.size, np.maximum(k, 0.0) + 1.0, self.prob)
+        return np.where(k < 0, 1.0, out)[()]
 
     def pgf(self, s):
         # E(s**Y) = (p / (1 - (1-p) s))**size, analytic for |s| < 1/(1-p).

@@ -22,6 +22,7 @@ import numpy as np
 from .distributions import FAMILIES, CountDistribution, Poisson, family_spec, geometric_mean
 from .rounding import (
     HALF_UP,
+    MAX_TABLE_ENTRIES,
     RoundingScheme,
     round_count,
     rounded_logpmf,
@@ -120,9 +121,14 @@ def _expectations(model: CountDistribution, prob_floor: float, cases) -> list[fl
     Sums fn(n*[k/n]) P(Y=k) over the latent k whose probability exceeds
     ``prob_floor``, evaluating fn once per distinct support point.  A floor
     that keeps no latent value raises ValueError rather than returning an
-    empty sum.
+    empty sum, and so does a window of more than ``MAX_TABLE_ENTRIES``
+    latent values.
     """
-    ks = np.arange(model.support_bound(min(prob_floor, 1e-12)) + 1)
+    lo, hi = model.support_window(min(prob_floor, 1e-12))
+    if hi - lo + 1 > MAX_TABLE_ENTRIES:
+        raise ValueError(f"enumerating {hi - lo + 1} latent values is over the limit "
+                         f"of {MAX_TABLE_ENTRIES}")
+    ks = np.arange(lo, hi + 1)
     ps = model.pmf(ks)
     keep = ps > prob_floor
     if not keep.any():
@@ -191,7 +197,9 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     For every latent value y with probability above ``prob_floor`` the
     estimate is computed once per distinct support point and memoized
     across the whole grid (the estimator map depends only on the group
-    count and the observed point, not on the true parameter).
+    count and the observed point, not on the true parameter).  A grid
+    point whose unrounded MSE is 0 leaves the ratio undefined and raises
+    ValueError.
     """
     param_grid = np.asarray(list(param_grid), dtype=float)
     n_list = tuple(int(n) for n in n_list)
@@ -213,6 +221,9 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
         cases = [(_squared_error(partial(fit, n), param), RoundingScheme(n, HALF_UP))
                  for n in (1, *n_list)]
         mse[:, j] = _expectations(spec.make(float(param), fixed), prob_floor, cases)
+        if mse[0, j] == 0.0:
+            raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "
+                             f"prob_floor={prob_floor}, so the MSE ratio is undefined")
     mse_unrounded = np.repeat(mse[:1], len(n_list), axis=0)
     return MseRatioCurve(family=family, n_list=n_list, param_grid=param_grid,
                          mse_rounded=mse[1:], mse_unrounded=mse_unrounded,

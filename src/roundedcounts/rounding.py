@@ -5,7 +5,8 @@ integer-rounded average [Y/n], the recoverable total U = n*[Y/n] lives on
 the lattice {0, n, 2n, ...} and aggregates roughly n consecutive
 probabilities of Y per lattice point.  This module provides:
 
-* exact tabulation of P(U = u) from the latent pmf (both tie rules),
+* exact tabulation of P(U = u) from the latent tails, over the lattice
+  points between two tail quantiles of Y (both tie rules),
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only),
 * exact E(U) and Var(U) via the alternating roots-of-unity series, with
@@ -181,29 +182,37 @@ def support_block(u, scheme: RoundingScheme) -> range:
 
 @dataclass
 class RoundedPmf:
-    """Tabulated distribution of U on {0, n, 2n, ...}.
+    """Tabulated distribution of U on a window of {0, n, 2n, ...}.
 
-    ``probs[v]`` is P(U = v*n); ``truncation_mass`` bounds the probability
-    omitted beyond the tabulated support, so the tabulated total plus the
+    ``probs[i]`` is P(U = (first + i)*n).  ``mass_below`` and ``mass_above``
+    are the probabilities of the lattice points below and above the table,
+    and ``truncation_mass`` is their sum, so the tabulated total plus the
     truncation mass is 1 up to roundoff.
     """
 
     n: int
     probs: np.ndarray
-    truncation_mass: float
+    first: int
+    mass_below: float
+    mass_above: float
+
+    @property
+    def truncation_mass(self) -> float:
+        """Probability outside the table, on both sides."""
+        return self.mass_below + self.mass_above
 
     @property
     def support(self) -> np.ndarray:
         """Support values u = v*n for the tabulated indices v."""
-        return self.n * np.arange(len(self.probs))
+        return self.n * np.arange(self.first, self.first + len(self.probs))
 
     def prob(self, u) -> float:
-        v = _check_lattice(u, self.n) // self.n
-        return float(self.probs[v]) if v < len(self.probs) else 0.0
+        i = _check_lattice(u, self.n) // self.n - self.first
+        return float(self.probs[i]) if 0 <= i < len(self.probs) else 0.0
 
     def items(self):
-        for v, p in enumerate(self.probs):
-            yield self.n * v, float(p)
+        for u, p in zip(self.support, self.probs):
+            yield int(u), float(p)
 
     def total(self) -> float:
         return float(np.sum(self.probs))
@@ -220,28 +229,43 @@ class RoundedPmf:
         """Sum of P(U=u) s**u over the tabulated support; the series fallback
         for arguments the direct formula refuses."""
         z = complex(s) ** self.n
-        powers = z ** np.arange(len(self.probs))
+        powers = z ** np.arange(self.first, self.first + len(self.probs))
         return complex(np.dot(self.probs, powers))
 
 
-def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: float = 1e-12) -> RoundedPmf:
-    """Tabulate P(U = u) for u = 0, n, 2n, ... covering the latent support.
+#: Largest table ``rounded_pmf`` builds; a wider window is refused before
+#: any array is allocated.
+MAX_TABLE_ENTRIES = 2**22
 
-    Block probabilities are computed as cdf/sf differences (lower tail near
-    the origin, survival beyond the mean) so both tails keep full absolute
-    precision.  For n = 1 this is the latent pmf unchanged.
+
+def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: float = 1e-12) -> RoundedPmf:
+    """Tabulate P(U = u) over the lattice points between the tail_eps-quantiles of Y.
+
+    The table runs from the lattice point of the lower quantile to that of
+    the upper one (``model.support_window``), so each side leaves out less
+    than tail_eps.  Block probabilities are differences of the tail
+    function at consecutive block edges, the cdf up to the mean and the
+    survival function beyond it, so both tails keep full absolute
+    precision; each edge is evaluated once.  For n = 1 this is the latent
+    pmf over the window.  A table over ``MAX_TABLE_ENTRIES`` entries raises
+    ValueError.
     """
     n = scheme.n
-    y_max = model.support_bound(tail_eps)
-    v_max = round_count(y_max, n, scheme.tie_rule)
-    v = np.arange(v_max + 1)
-    lo, hi = _block_bounds(n, scheme.tie_rule, v)
-    mean = model.mean()
-    lower = model.cdf(hi) - model.cdf(lo - 1)
-    upper = model.sf(lo - 1) - model.sf(hi)
-    probs = np.maximum(np.where(hi <= mean, lower, upper), 0.0)
-    truncation = float(max(model.sf(hi[-1]), 0.0))
-    return RoundedPmf(n=n, probs=probs, truncation_mass=truncation)
+    y_lo, y_hi = model.support_window(tail_eps)
+    v_lo, v_hi = (round_count(y, n, scheme.tie_rule) for y in (y_lo, y_hi))
+    if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the table of U would hold {v_hi - v_lo + 1} entries, "
+                         f"over the limit of {MAX_TABLE_ENTRIES}")
+    lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
+    # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
+    # mean come first and take the cdf, the rest the survival function.
+    edges = np.concatenate(([lo[0] - 1], hi))
+    split = int(np.searchsorted(hi, model.mean(), side="right"))
+    below = model.cdf(edges[:split + 1])
+    above = model.sf(edges[split:])
+    probs = np.maximum(np.concatenate((below[1:] - below[:-1], above[:-1] - above[1:])), 0.0)
+    return RoundedPmf(n=n, probs=probs, first=int(v_lo), mass_below=float(below[0]),
+                      mass_above=float(max(above[-1], 0.0)))
 
 
 def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float:

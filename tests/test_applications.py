@@ -11,6 +11,7 @@ from roundedcounts import (
     binned_binomial_test,
     excess_moments,
     excess_point_estimates,
+    round_count,
     rounded_pmf,
     true_significance,
 )
@@ -110,6 +111,18 @@ class TestTrueSignificance:
         curve = true_significance(500, 31, [0.2], 0.05, "misspecified-u")
         assert curve.true_level[0] == pytest.approx(0.029316, abs=5e-4)
 
+    @pytest.mark.parametrize("phi0", [0.02, 0.1, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("m, n", [(1, 31), (2, 31), (3, 10), (50, 5)])
+    def test_misspecified_level_matches_the_full_support(self, m, n, phi0):
+        total, alpha = m * n, 0.05
+        ks = np.arange(total + 1)
+        probs = np.bincount(round_count(ks, n), weights=stats.binom.pmf(ks, total, phi0))
+        half = stats.norm.ppf(1 - alpha / 2) * math.sqrt(total * phi0 * (1 - phi0))
+        support = n * np.arange(probs.size)
+        outside = np.abs(support - total * phi0) > half
+        curve = true_significance(m, n, [phi0], alpha, "misspecified-u")
+        assert curve.true_level[0] == pytest.approx(math.fsum(probs[outside]), abs=1e-14)
+
     def test_degenerate_grouping_matches_exact(self):
         exact = true_significance(500, 1, PHI0_GRID, 0.05, "exact-y")
         miss = true_significance(500, 1, PHI0_GRID, 0.05, "misspecified-u")
@@ -168,6 +181,24 @@ class TestBinnedTest:
         center = 31 * round(500 * 31 * 0.5 / 31)
         mid = binned_binomial_test(center, 500, 31, 0.5, 0.05)
         assert not mid.reject
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-13])
+    @pytest.mark.parametrize("phi0", [0.02, 0.1, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("m, n", [(1, 31), (2, 31), (3, 10), (50, 5)])
+    def test_cuts_match_the_full_support(self, m, n, phi0, alpha):
+        # These include cuts on the lattice point just past either end of the
+        # tabulated window (e.g. m=1, n=31, phi0=0.02 has its upper cut at 31).
+        total = m * n
+        ks = np.arange(total + 1)
+        probs = np.bincount(round_count(ks, n), weights=stats.binom.pmf(ks, total, phi0))
+        lower = np.nonzero(np.cumsum(probs) <= alpha / 2)[0]
+        upper = np.nonzero(np.cumsum(probs[::-1])[::-1] <= alpha / 2)[0]
+        res = binned_binomial_test(0, m, n, phi0, alpha)
+        assert res.lower_cut == (n * int(lower[-1]) if lower.size else None)
+        assert res.upper_cut == (n * int(upper[0]) if upper.size else None)
+        level = (np.cumsum(probs)[lower[-1]] if lower.size else 0.0) + (
+            np.cumsum(probs[::-1])[::-1][upper[0]] if upper.size else 0.0)
+        assert res.true_level == pytest.approx(level, rel=1e-9, abs=1e-15)
 
     def test_small_alpha_can_empty_a_tail(self):
         # tiny alpha with a short lattice: no lower cut exists

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roundedcounts
 from roundedcounts import Poisson, RoundingScheme, rounded_moments_poisson, rounded_pmf
 from roundedcounts.cli import main, parse_float_list, parse_int_list
 from roundedcounts.tableio import read_csv
@@ -115,6 +120,33 @@ def test_prob_floor_keeping_no_value_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert "prob_floor" in json.loads(err.strip())["error"]
+
+
+def test_zero_unrounded_mse_is_usage_error(capsys):
+    # The floor keeps only y=1, whose n=1 fit is the true 0.5.
+    code, out, err = run_cli(capsys, "mse-ratio", "--dist", "binomial", "--trials", "2",
+                             "--param-grid", "0.5", "--n-list", "1,2", "--prob-floor", "0.3")
+    assert code == 2
+    assert out == ""
+    assert "unrounded MSE" in json.loads(err.strip())["error"]
+
+
+def test_oversized_pmf_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--dist", "poisson", "--theta", "1e14",
+                             "--n-list", "1")
+    assert code == 2
+    assert out == ""
+    assert "entries" in json.loads(err.strip())["error"]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(roundedcounts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = "import sys, roundedcounts.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_mse_ratio_unit_at_n1(capsys):

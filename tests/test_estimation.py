@@ -250,6 +250,10 @@ class TestExactMse:
         with pytest.raises(ValueError, match="prob_floor"):
             mse_ratio_curve("poisson", [1.0], [1, 3], prob_floor=0.9)
 
+    def test_oversized_enumeration_is_refused(self):
+        with pytest.raises(ValueError, match="latent values"):
+            exact_mse(float, Poisson(1e14), RoundingScheme(3), 1e14)
+
     def test_expected_value_matches_moments(self):
         model, scheme = Poisson(5.0), RoundingScheme(4)
         mean = expected_value_exact(float, model, scheme, 1e-13)
@@ -265,6 +269,10 @@ class TestMseRatio:
         assert np.all(curve_b.psi == 1.0)
         curve_nb = mse_ratio_curve("negbinomial", [0.4, 0.7], [1], nb_size=5.0)
         assert np.all(curve_nb.psi == 1.0)
+
+    def test_zero_unrounded_mse_is_refused(self):
+        with pytest.raises(ValueError, match="unrounded MSE"):
+            mse_ratio_curve("binomial", [0.5], [1, 2], trials=2, prob_floor=0.3)
 
     def test_poisson_rounding_costly_for_small_rates(self):
         curve = mse_ratio_curve("poisson", [1.0, 1.5, 2.0, 2.5], [10])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from roundedcounts import (
@@ -24,7 +25,7 @@ from roundedcounts import (
     sample_u,
     support_block,
 )
-from roundedcounts.rounding import _mle_mean_branch
+from roundedcounts.rounding import MAX_TABLE_ENTRIES, _mle_mean_branch
 
 
 def brute_force_pmf(model, n, tie_rule, y_max):
@@ -166,7 +167,7 @@ class TestRoundedPmf:
     @pytest.mark.parametrize("tie", [HALF_UP, HALF_EVEN])
     def test_matches_brute_force_aggregation(self, model, n, tie):
         table = rounded_pmf(model, RoundingScheme(n, tie), 1e-13)
-        oracle = brute_force_pmf(model, n, tie, model.support_bound(1e-13))
+        oracle = brute_force_pmf(model, n, tie, model.support_window(1e-13)[1])[table.first:]
         m = min(len(oracle), len(table.probs))
         assert np.max(np.abs(table.probs[:m] - oracle[:m])) < 1e-13
 
@@ -198,6 +199,87 @@ class TestRoundedPmf:
         emp = np.bincount(u // 3, minlength=len(table.probs)) / draws
         sigma = np.sqrt(table.probs * (1 - table.probs) / draws)
         assert np.all(np.abs(emp[: len(table.probs)] - table.probs) < 5 * sigma + 1e-9)
+
+
+def latent_pmf_by_recurrence(model, top):
+    """P(Y = k) for k = 0..top from the ratios P(Y = k+1)/P(Y = k), anchored
+    at the mode and normalized to sum 1.  Independent of the log-gamma pmf,
+    whose relative error reaches 3e-10 at a Poisson mean of 1e5, and of the
+    special-function tails."""
+    k = np.arange(top, dtype=float)
+    if model.kind == "poisson":
+        ratio = model.theta / (k + 1.0)
+    elif model.kind == "binomial":
+        ratio = (model.trials - k) / (k + 1.0) * model.prob / (1.0 - model.prob)
+    else:
+        ratio = (k + model.size) / (k + 1.0) * (1.0 - model.prob)
+    mode = int(np.argmax(ratio < 1.0)) if np.any(ratio < 1.0) else top
+    up = np.cumprod(ratio[mode:])
+    down = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    ps = np.concatenate((down, [1.0], up))
+    return ps / math.fsum(ps)
+
+
+@st.composite
+def windowed_tables(draw):
+    """A latent model, a scheme and a tail_eps for rounded_pmf."""
+    kind = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
+    if kind == "poisson":
+        model = Poisson(10.0 ** draw(st.floats(-2.0, 5.0)))
+    elif kind == "binomial":
+        model = Binomial(draw(st.integers(1, 100_000)), draw(st.floats(0.01, 0.99)))
+    else:
+        model = NegativeBinomial(draw(st.floats(0.2, 50.0)), draw(st.floats(0.02, 0.98)))
+    scheme = RoundingScheme(draw(st.integers(1, 31)), draw(st.sampled_from([HALF_UP, HALF_EVEN])))
+    return model, scheme, draw(st.sampled_from([1e-3, 1e-8, 1e-12]))
+
+
+class TestWindow:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(windowed_tables())
+    def test_window_matches_block_sums_from_zero(self, case):
+        model, scheme, eps = case
+        table = rounded_pmf(model, scheme, eps)
+        # The reference runs to where less than 1e-25 is left above it.
+        top = model.support_window(1e-25)[1] + scheme.n
+        ps = latent_pmf_by_recurrence(model, top)
+        blocks = np.bincount(round_count(np.arange(top + 1), scheme.n, scheme.tie_rule), weights=ps)
+        last = table.first + len(table.probs)
+        assert last <= len(blocks)
+        assert np.max(np.abs(table.probs - blocks[table.first:last])) < 1e-13
+        outside = math.fsum(blocks[:table.first]) + math.fsum(blocks[last:])
+        # At most the truncation mass, and in fact equal to it
+        assert outside == pytest.approx(table.truncation_mass, rel=1e-9, abs=1e-300)
+        assert table.mass_below < eps and table.mass_above < eps
+        if model.cdf(0) >= eps:
+            assert table.first == 0
+
+    def test_accessors_use_the_window(self):
+        model, scheme = Poisson(400.0), RoundingScheme(7)
+        table = rounded_pmf(model, scheme, 1e-12)
+        assert table.first > 0
+        full = brute_force_pmf(model, 7, HALF_UP, model.support_window(1e-12)[1])
+        assert table.support[0] == 7 * table.first
+        assert [u for u, _ in table.items()] == list(table.support)
+        assert table.prob(7 * table.first) == table.probs[0]
+        assert table.prob(7 * (table.first - 1)) == 0.0
+        assert table.mean() == pytest.approx(np.dot(7.0 * np.arange(len(full)), full), rel=1e-12)
+        s = 0.3 + 0.4j
+        series = np.sum(full * s ** (7 * np.arange(len(full))))
+        assert abs(table.pgf(s) - series) < 1e-14
+        assert table.truncation_mass == table.mass_below + table.mass_above
+
+    def test_large_mean_is_served_from_a_window(self):
+        table = rounded_pmf(Poisson(1e9), RoundingScheme(3))
+        assert len(table.probs) == 146_786
+        assert table.total() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_oversized_table_is_refused(self):
+        with pytest.raises(ValueError, match="entries"):
+            rounded_pmf(Poisson(1e14), RoundingScheme(1))
+        width = 2 * MAX_TABLE_ENTRIES
+        with pytest.raises(ValueError, match=str(MAX_TABLE_ENTRIES)):
+            rounded_pmf(Poisson(float(width) ** 2 / 100.0), RoundingScheme(1))
 
 
 class TestRoundedPgf:
