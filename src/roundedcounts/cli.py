@@ -15,12 +15,19 @@ Figure presets bundle the settings behind the package's reference plots::
     roundedcounts true-significance --preset fig5   # conservative binned test
     roundedcounts mse-ratio --preset fig6           # rounded/unrounded MSE ratio
 
-A preset only changes defaults: any flag passed explicitly wins over it.
+A preset is a prefix of flags: ``--preset fig1`` parses as ``--theta 2
+--n-list 1,3,10`` in front of the flags given, and argparse keeps the last
+value, so any flag passed explicitly wins over the preset.
+
+The parser is built once per process (``build_parser`` is cached) and is
+never changed after that.  A shell command still builds it once; the saving
+is for callers of ``main`` that run many commands in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -117,15 +124,17 @@ _PRESETS = {
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that applies ``--preset``: the preset's values
-    become the defaults and the arguments are parsed again, so an explicit
-    flag wins over the preset and the preset over the built-in default."""
+    """Subcommand parser that applies ``--preset``: the arguments are parsed
+    again behind the preset's flags, so an explicit flag wins over the
+    preset and the preset over the built-in default.  The parser itself is
+    left unchanged, which lets ``build_parser`` be cached."""
 
     def parse_known_args(self, args=None, namespace=None):
         parsed, extras = super().parse_known_args(args, namespace)
         if parsed.preset:
-            self.set_defaults(**_PRESETS[parsed.preset])
-            parsed, extras = super().parse_known_args(args, namespace)
+            flags = [item for dest, value in _PRESETS[parsed.preset].items()
+                     for item in ("--" + dest.replace("_", "-"), value)]
+            parsed, extras = super().parse_known_args([*flags, *args], namespace)
         return parsed, extras
 
 
@@ -154,6 +163,7 @@ def _add_model_flags(parser: argparse.ArgumentParser, default_dist="poisson"):
                         help="negative binomial size: counts failures before this many successes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="roundedcounts",
@@ -253,15 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     return parser
-
-
-#: mse-ratio defaults per family: the parameter grid and the value of the
-#: family's fixed parameter (``--trials`` or ``--nb-size``).
-_RATIO_DEFAULTS = {
-    "poisson": (parse_float_list("0.2:10:0.2"), None),
-    "binomial": (parse_float_list("0.05:0.95:0.05"), 50),
-    "negbinomial": (parse_float_list("0.05:0.95:0.05"), 5.0),
-}
 
 
 def _cmd_pmf(args, seed):
@@ -372,12 +373,12 @@ def _cmd_mse_ratio(args, seed):
               "prob_floor": args.prob_floor, "trials": None, "nb_size": None, "seed": seed}
     rows = []
     for family in families:
-        default_grid, default_fixed = _RATIO_DEFAULTS[family]
-        grid = args.param_grid if args.param_grid is not None else default_grid
-        name, fixed = FAMILIES[family].fixed, {}
-        if name:
-            value = getattr(args, name)
-            fixed[name] = default_fixed if value is None else value
+        spec = FAMILIES[family]
+        grid = args.param_grid if args.param_grid is not None else parse_float_list(spec.ratio_grid)
+        fixed = {}
+        if spec.fixed:
+            value = getattr(args, spec.fixed)
+            fixed[spec.fixed] = spec.ratio_fixed if value is None else value
         curve = mse_ratio_curve(family, grid, args.n_list, prob_floor=args.prob_floor, **fixed)
         rows.extend([family, param, n, mr, mu, psi]
                     for param, n, mr, mu, psi in curve.iter_rows())

@@ -320,6 +320,8 @@ class Family:
     is estimated, which is also the target of its MSE.  ``block_mle(lo, hi,
     fixed)`` maximizes P(lo <= Y <= hi); ``plug_in(u, fixed)`` treats the
     rounded total as the latent count.  Only Poisson has the product form.
+    ``ratio_grid`` (grid text, ``start:stop:step``) and ``ratio_fixed`` are
+    the family's default parameter grid and fixed value for the MSE ratio.
     """
 
     name: str
@@ -327,8 +329,10 @@ class Family:
     fitted: str
     block_mle: Callable[[int, int, float | None], float | None]
     plug_in: Callable[[int, float | None], float]
+    ratio_grid: str
     fixed: str | None = None
     fixed_attr: str | None = None
+    ratio_fixed: float | None = None
     product_form: bool = False
 
     def resolve(self, trials=None, nb_size=None):
@@ -348,13 +352,13 @@ FAMILIES: dict[str, Family] = {
     family.name: family for family in (
         Family("poisson", lambda theta, _, n=1: Poisson(n * theta), fitted="theta",
                block_mle=_poisson_block_mle, plug_in=lambda u, _: float(u),
-               product_form=True),
+               ratio_grid="0.2:10:0.2", product_form=True),
         Family("binomial", lambda prob, trials, n=1: Binomial(trials * n, prob), fitted="prob",
                block_mle=_binomial_block_mle, plug_in=lambda u, trials: u / trials,
-               fixed="trials", fixed_attr="trials"),
+               ratio_grid="0.05:0.95:0.05", fixed="trials", fixed_attr="trials", ratio_fixed=50),
         Family("negbinomial", lambda prob, size, n=1: NegativeBinomial(size, prob), fitted="prob",
                block_mle=_negbinomial_block_mle, plug_in=lambda u, size: size / (size + u),
-               fixed="nb_size", fixed_attr="size"),
+               ratio_grid="0.05:0.95:0.05", fixed="nb_size", fixed_attr="size", ratio_fixed=5.0),
     )
 }
 

@@ -252,6 +252,11 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: floa
     """
     n = scheme.n
     y_lo, y_hi = model.support_window(tail_eps)
+    # The table holds at least (y_hi - y_lo) // n entries; refusing on that
+    # first keeps a window beyond int64 away from round_count.
+    if (y_hi - y_lo) // n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"the latent window of {y_hi - y_lo + 1} values needs a table of U "
+                         f"over the limit of {MAX_TABLE_ENTRIES} entries")
     v_lo, v_hi = (round_count(y, n, scheme.tie_rule) for y in (y_lo, y_hi))
     if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
         raise ValueError(f"the table of U would hold {v_hi - v_lo + 1} entries, "

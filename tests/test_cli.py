@@ -10,7 +10,7 @@ import pytest
 
 import roundedcounts
 from roundedcounts import Poisson, RoundingScheme, rounded_moments_poisson, rounded_pmf
-from roundedcounts.cli import main, parse_float_list, parse_int_list
+from roundedcounts.cli import build_parser, main, parse_float_list, parse_int_list
 from roundedcounts.tableio import read_csv
 
 
@@ -92,6 +92,40 @@ def test_explicit_flags_win_over_presets(capsys):
     assert config["alpha_list"] == "0.01,0.05,0.1"
 
 
+def test_presets_do_not_leak_into_later_calls(capsys):
+    # One process, one parser: a preset must not change what a later call
+    # without it resolves to.
+    code, _, _ = run_cli(capsys, "pmf", "--preset", "fig1", "--n-list", "2")
+    assert code == 0
+    code, out, err = run_cli(capsys, "pmf", "--n-list", "2")
+    assert code == 2
+    assert out == ""
+    assert "requires --theta" in json.loads(err.strip())["error"]
+    code, _, _ = run_cli(capsys, "true-significance", "--preset", "fig4", "--phi0-grid", "0.5")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "true-significance", "--phi0-grid", "0.5")
+    assert code == 0
+    config, _, _ = read_csv(io.StringIO(out))
+    assert (config["modes"], config["alpha_list"]) == ("exact-y", 0.05)
+
+
+@pytest.mark.parametrize("command, preset, flags", [
+    ("pmf", "fig1", ["--theta", "2", "--n-list", "1,3,10"]),
+    ("mse-sim", "fig2", ["--param-grid", "0.05:4:0.05", "--n-list", "2,5,10,25,50"]),
+    ("mse-sim", "fig3", ["--param-grid", "0.2,0.5,1.0,2.0", "--n-list", "1,2,5,10,25,50,100,200"]),
+    ("true-significance", "fig4", ["--alpha-list", "0.01,0.05,0.1",
+                                   "--modes", "exact-y,misspecified-u"]),
+    ("true-significance", "fig5", ["--alpha-list", "0.01,0.05,0.1", "--modes", "binned-u"]),
+    ("mse-ratio", "fig6", ["--n-list", "1,2,5,10,25"]),
+])
+def test_each_preset_equals_its_flags(command, preset, flags):
+    parser = build_parser()
+    with_preset = vars(parser.parse_args([command, "--preset", preset]))
+    spelled_out = vars(parser.parse_args([command, *flags]))
+    assert (with_preset.pop("preset"), spelled_out.pop("preset")) == (preset, None)
+    assert with_preset == spelled_out
+
+
 def test_mse_ratio_header_reproduces_a_family(capsys):
     code, out, _ = run_cli(capsys, "mse-ratio", "--preset", "fig6", "--n-list", "1,2")
     assert code == 0
@@ -131,8 +165,9 @@ def test_zero_unrounded_mse_is_usage_error(capsys):
     assert "unrounded MSE" in json.loads(err.strip())["error"]
 
 
-def test_oversized_pmf_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "pmf", "--dist", "poisson", "--theta", "1e14",
+@pytest.mark.parametrize("theta", ["1e14", "1e300"])
+def test_oversized_pmf_is_usage_error(capsys, theta):
+    code, out, err = run_cli(capsys, "pmf", "--dist", "poisson", "--theta", theta,
                              "--n-list", "1")
     assert code == 2
     assert out == ""
