@@ -10,6 +10,7 @@ rounded lattice).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .distributions import Binomial
 from .estimation import poisson_mle_closed
 from .rounding import (
     HALF_UP,
+    RoundedPmf,
     RoundingScheme,
     _check_lattice,
     rounded_moments_poisson,
@@ -146,36 +148,52 @@ def true_significance(m: int, n: int, phi0_grid, alpha: float, mode: str,
 
     Everything is computed by exact tail summation; no simulation.
     """
+    phi0_grid = np.asarray(list(phi0_grid), dtype=float)
+    levels = _significance_levels(m, n, phi0_grid, [alpha], mode, tie_rule)[0]
+    return SignificanceCurve(m=int(m), n=int(n), phi0_grid=phi0_grid,
+                             nominal_alpha=float(alpha), true_level=levels, mode=mode)
+
+
+def _significance_levels(m: int, n: int, phi0_grid, alphas, mode: str,
+                         tie_rule: str = HALF_UP) -> np.ndarray:
+    """True levels of :func:`true_significance`, indexed [alpha, phi0].
+
+    The rounded table of each phi0 depends on alpha only through its tail
+    quantile (1e-12, or alpha/2 when smaller for ``binned-u``), so it is
+    built once per distinct quantile and shared by the alphas.
+    """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     phi0_grid = np.asarray(list(phi0_grid), dtype=float)
     if np.any((phi0_grid <= 0.0) | (phi0_grid >= 1.0)):
         raise ValueError("phi0 values must lie strictly inside (0, 1)")
     total = int(m) * int(n)
     scheme = RoundingScheme(int(n), tie_rule)
 
-    levels = np.empty(phi0_grid.size)
+    levels = np.empty((len(alphas), phi0_grid.size))
     for idx, phi0 in enumerate(phi0_grid):
-        lo, hi = _acceptance_bounds(total, phi0, alpha)
         model = Binomial(total, phi0)
-        if mode == MODE_EXACT_Y:
-            levels[idx] = float(model.cdf(np.ceil(lo) - 1.0) + model.sf(np.floor(hi)))
-        elif mode == MODE_MISSPECIFIED_U:
-            table = rounded_pmf(model, scheme)
-            support = table.support
-            outside = (support < lo) | (support > hi)
-            # A side's off-window mass counts when the lattice point next to
-            # the table is outside the acceptance interval, and with it every
-            # point beyond; otherwise it is left out, an error below 1e-12.
-            below = table.mass_below if support[0] - scheme.n < lo else 0.0
-            above = table.mass_above if support[-1] + scheme.n > hi else 0.0
-            levels[idx] = float(np.sum(table.probs[outside])) + below + above
-        else:
-            levels[idx] = _binned_region(model, scheme, alpha)[2]
-    return SignificanceCurve(m=int(m), n=int(n), phi0_grid=phi0_grid,
-                             nominal_alpha=float(alpha), true_level=levels, mode=mode)
+        tabulate = functools.cache(functools.partial(rounded_pmf, model, scheme))
+        for a, alpha in enumerate(alphas):
+            lo, hi = _acceptance_bounds(total, phi0, alpha)
+            if mode == MODE_EXACT_Y:
+                levels[a, idx] = float(model.cdf(np.ceil(lo) - 1.0) + model.sf(np.floor(hi)))
+            elif mode == MODE_MISSPECIFIED_U:
+                table = tabulate(1e-12)
+                support = table.support
+                outside = (support < lo) | (support > hi)
+                # A side's off-window mass counts when the lattice point next to
+                # the table is outside the acceptance interval, and with it every
+                # point beyond; otherwise it is left out, an error below 1e-12.
+                below = table.mass_below if support[0] - scheme.n < lo else 0.0
+                above = table.mass_above if support[-1] + scheme.n > hi else 0.0
+                levels[a, idx] = float(np.sum(table.probs[outside])) + below + above
+            else:
+                levels[a, idx] = _binned_region(tabulate(_binned_eps(alpha)), alpha)[2]
+    return levels
 
 
 @dataclass
@@ -188,18 +206,23 @@ class BinnedTestResult:
     upper_cut: int | None
 
 
-def _binned_region(model: Binomial, scheme: RoundingScheme, alpha: float):
+def _binned_eps(alpha: float) -> float:
+    """Tail quantile of the table behind the binned test at level alpha."""
+    return min(1e-12, alpha / 2.0)
+
+
+def _binned_region(table: RoundedPmf, alpha: float):
     """Equal-tail rejection cuts on the rounded lattice and the exact level.
 
-    The lower cut is the largest support point whose lower tail holds at
-    most alpha/2; the upper cut is the smallest support point whose upper
-    tail holds at most alpha/2.  The attained level therefore never exceeds
-    alpha.
+    ``table`` must leave out less than alpha/2 on each side
+    (``_binned_eps``).  The lower cut is the largest support point whose
+    lower tail holds at most alpha/2; the upper cut is the smallest support
+    point whose upper tail holds at most alpha/2.  The attained level
+    therefore never exceeds alpha.
     """
     # The lattice point next to each end of the table stands for the whole
     # off-window mass of its side.  That mass is below alpha/2, so a cut
     # beyond the table can only fall on that point.
-    table = rounded_pmf(model, scheme, min(1e-12, alpha / 2.0))
     n, count = table.n, len(table.probs)
     keep = [table.mass_below > 0, *[True] * count, table.mass_above > 0]
     probs = np.concatenate(([table.mass_below], table.probs, [table.mass_above]))[keep]
@@ -235,7 +258,8 @@ def binned_binomial_test(u, m: int, n: int, phi0: float, alpha: float,
     scheme = RoundingScheme(int(n), tie_rule)
     u = _check_lattice(u, scheme.n)
     total = int(m) * int(n)
-    lower_cut, upper_cut, level = _binned_region(Binomial(total, float(phi0)), scheme, float(alpha))
+    table = rounded_pmf(Binomial(total, float(phi0)), scheme, _binned_eps(float(alpha)))
+    lower_cut, upper_cut, level = _binned_region(table, float(alpha))
     reject = (lower_cut is not None and u <= lower_cut) or (
         upper_cut is not None and u >= upper_cut
     )

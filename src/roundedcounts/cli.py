@@ -40,10 +40,10 @@ from .applications import (
     MODE_EXACT_Y,
     MODE_MISSPECIFIED_U,
     ExcessDeathsDesign,
+    _significance_levels,
     binned_binomial_test,
     excess_moments,
     excess_point_estimates,
-    true_significance,
 )
 from .distributions import FAMILIES
 from .estimation import (
@@ -401,10 +401,10 @@ def _cmd_true_significance(args, seed):
     m, n, phi0_grid, alpha_list, modes = args.m, args.n, args.phi0_grid, args.alpha_list, args.modes
     rows = []
     for mode in modes.split(","):
-        for alpha in alpha_list:
-            curve = true_significance(m, n, phi0_grid, alpha, mode)
+        levels = _significance_levels(m, n, phi0_grid, alpha_list, mode)
+        for alpha, row in zip(alpha_list, levels):
             rows.extend([mode, alpha, float(phi0), float(level)]
-                        for phi0, level in zip(curve.phi0_grid, curve.true_level))
+                        for phi0, level in zip(phi0_grid, row))
     config = {"m": m, "n": n, "phi0_grid": ",".join(map(str, phi0_grid)),
               "alpha_list": ",".join(map(str, alpha_list)), "modes": modes, "seed": seed}
     return config, ["mode", "alpha", "phi0", "true_level"], rows

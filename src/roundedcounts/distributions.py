@@ -190,13 +190,13 @@ class Binomial(CountDistribution):
     # accuracy at large trial counts (off by 0.40 at k = mean, 1e9 trials).
     def cdf(self, k):
         k = np.floor(k)
-        inner = np.clip(k, 0.0, self.trials - 1.0)
+        inner = np.minimum(np.maximum(k, 0.0), self.trials - 1.0)
         out = special.betainc(self.trials - inner, inner + 1.0, 1.0 - self.prob)
         return np.where(k < 0, 0.0, np.where(k >= self.trials, 1.0, out))[()]
 
     def sf(self, k):
         k = np.floor(k)
-        inner = np.clip(k, 0.0, self.trials - 1.0)
+        inner = np.minimum(np.maximum(k, 0.0), self.trials - 1.0)
         out = special.betainc(inner + 1.0, self.trials - inner, self.prob)
         return np.where(k < 0, 1.0, np.where(k >= self.trials, 0.0, out))[()]
 

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FAMILIES, CountDistribution, Poisson, family_spec, geometric_mean
+from .distributions import (FAMILIES, CountDistribution, Family, Poisson, family_spec,
+                            geometric_mean)
 from .rounding import (
     HALF_UP,
     MAX_TABLE_ENTRIES,
@@ -76,13 +77,17 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     reference estimator whose large-sample mean the asymptotic formulas
     describe.
     """
-    scheme = RoundingScheme(int(n), HALF_UP)
-    factors = np.array([f for f in support_block(u, scheme) if f > 0], dtype=float)
-    if factors.size == 0:
-        return Estimate(value=0.0, method="closed-form", loglik_at_optimum=0.0, converged=True)
-    value = geometric_mean(factors)
-    loglik = rounded_logpmf(Poisson(value), scheme, u)
+    value = _closed_value(u, n)
+    loglik = rounded_logpmf(Poisson(value), RoundingScheme(int(n)), u) if value > 0 else 0.0
     return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik, converged=True)
+
+
+def _closed_value(u, n: int) -> float:
+    """The product-form estimate of :func:`poisson_mle_closed` alone."""
+    block = support_block(u, RoundingScheme(int(n), HALF_UP))
+    if block.stop <= 1:
+        return 0.0
+    return geometric_mean(np.arange(max(block.start, 1), block.stop, dtype=float))
 
 
 def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
@@ -106,13 +111,19 @@ def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
     """
     spec = family_spec(family)
     fixed = spec.resolve(trials=trials, nb_size=nb_size)
+    value = _block_value(u, scheme, spec, fixed)
+    # A zero estimate is the model concentrated at 0, which lies in the block.
+    loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
+    return Estimate(value=value, method="numeric", loglik_at_optimum=loglik, converged=True)
+
+
+def _block_value(u, scheme: RoundingScheme, spec: Family, fixed) -> float:
+    """The estimate of :func:`numeric_mle` alone, for a resolved family."""
     block = support_block(u, scheme)
     value = spec.block_mle(block.start, block.stop - 1, fixed)
     if value is None:
         raise NoMaximumError(f"binned likelihood of u={u} is zero for every parameter value")
-    # A zero estimate is the model concentrated at 0, which lies in the block.
-    loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
-    return Estimate(value=value, method="numeric", loglik_at_optimum=loglik, converged=True)
+    return value
 
 
 def _expectations(model: CountDistribution, prob_floor: float, cases) -> list[float]:
@@ -212,8 +223,7 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
 
     def fit(n: int, u: int) -> float:
         if (n, u) not in fitted:
-            fitted[n, u] = numeric_mle(u, RoundingScheme(n, HALF_UP), family,
-                                       trials=trials, nb_size=nb_size).value
+            fitted[n, u] = _block_value(u, RoundingScheme(n, HALF_UP), spec, fixed)
         return fitted[n, u]
 
     mse = np.empty((1 + len(n_list), param_grid.size))
@@ -257,10 +267,9 @@ def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
     if name == "closed-mle":
         if not spec.product_form:
             raise ValueError("closed-form estimator is only available for the Poisson family")
-        return lambda u: poisson_mle_closed(u, scheme.n).value
+        return lambda u: _closed_value(u, scheme.n)
     if name == "numeric-mle":
-        kwargs = {spec.fixed: fixed} if spec.fixed else {}
-        return lambda u: numeric_mle(u, scheme, spec.name, **kwargs).value
+        return lambda u: _block_value(u, scheme, spec, fixed)
     raise ValueError(f"estimator must be one of {_ESTIMATOR_NAMES}, got {name!r}")
 
 

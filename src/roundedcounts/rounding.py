@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import Binomial, CountDistribution, Poisson
 
@@ -282,8 +281,28 @@ def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float
     block = support_block(u, scheme)
     if len(block) == 0:
         return -np.inf
-    ks = np.arange(block.start, block.stop)
-    return float(logsumexp(model.logpmf(ks)))
+    return _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a non-empty 1-d array, bit for bit as
+    ``scipy.special.logsumexp`` computes it without its dispatch layer.
+
+    The entries equal to the maximum are split off, and the rest are summed
+    relative to it: log1p(sum(exp(rest - max)) / m) + log(m) + max, where m
+    counts the maxima.  A non-finite maximum (all -inf, +inf or NaN) takes
+    the direct log(sum(exp(a))).
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        with np.errstate(divide="ignore"):
+            return float(np.log(np.sum(np.exp(a))))
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    # The maxima stay in the sum as exact zeros, so the summation order
+    # matches scipy's.
+    rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+    return float(np.log1p(rest / m) + np.log(m) + a_max)
 
 
 def _require_half_up(scheme: RoundingScheme, what: str):

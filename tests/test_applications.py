@@ -15,6 +15,8 @@ from roundedcounts import (
     rounded_pmf,
     true_significance,
 )
+from roundedcounts import applications
+from roundedcounts.applications import _significance_levels
 
 PHI0_GRID = [round(0.1 + 0.05 * i, 10) for i in range(17)]
 
@@ -142,6 +144,24 @@ class TestTrueSignificance:
         with pytest.raises(ValueError):
             true_significance(500, 31, [0.5], 0.05, "bogus-mode")
 
+    @pytest.mark.parametrize("mode, tables", [("exact-y", 0), ("misspecified-u", 1),
+                                              ("binned-u", 2)])
+    def test_alpha_list_shares_each_table(self, monkeypatch, mode, tables):
+        # binned-u tabulates to alpha/2 once alpha/2 < 1e-12, so 1e-13 needs a
+        # table of its own; the other alphas share one per phi0.
+        alphas = [1e-13, 0.01, 0.05, 0.1]
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return rounded_pmf(*args)
+
+        monkeypatch.setattr(applications, "rounded_pmf", counted)
+        levels = _significance_levels(500, 31, PHI0_GRID, alphas, mode)
+        assert len(built) == tables * len(PHI0_GRID)
+        for row, alpha in zip(levels, alphas):
+            assert np.array_equal(row, true_significance(500, 31, PHI0_GRID, alpha, mode).true_level)
+
 
 class TestBinnedTest:
     def test_reduces_to_exact_binomial_test_without_grouping(self):
@@ -211,3 +231,4 @@ class TestBinnedTest:
             binned_binomial_test(1, 500, 31, 0.5, 0.05)  # off-lattice u
         with pytest.raises(ValueError):
             binned_binomial_test(0, 500, 31, 0.5, 1.5)
+

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from roundedcounts import (
+    HALF_EVEN,
+    HALF_UP,
     Binomial,
     NegativeBinomial,
     NoMaximumError,
@@ -22,9 +24,11 @@ from roundedcounts import (
     round_count,
     rounded_pmf,
     sample_u,
+    support_block,
 )
 from roundedcounts import estimation
-from roundedcounts.estimation import MC_BLOCK, _estimator_fn
+from roundedcounts.distributions import family_spec
+from roundedcounts.estimation import MC_BLOCK, _block_value, _closed_value, _estimator_fn
 
 
 class TestClosedForm:
@@ -197,6 +201,62 @@ class TestClosedFormMle:
     def test_ratio_curve_requires_fixed_parameter(self, family):
         with pytest.raises(ValueError):
             mse_ratio_curve(family, [0.3], [1, 2])
+
+
+class TestValueOnly:
+    """The estimate alone, as the MSE paths compute it, against the public
+    fits that also report the log-likelihood."""
+
+    @pytest.mark.parametrize("tie_rule", [HALF_UP, HALF_EVEN])
+    @pytest.mark.parametrize("family, fixed", [("poisson", None), ("binomial", 20),
+                                               ("negbinomial", 2.5)])
+    def test_block_value_is_the_numeric_mle_value(self, family, fixed, tie_rule):
+        spec = family_spec(family)
+        kwargs = {spec.fixed: fixed} if spec.fixed else {}
+        kinds = set()
+        for n in (1, 2, 3, 4, 7):
+            scheme = RoundingScheme(n, tie_rule)
+            for u in range(0, 13 * n, n):
+                block = support_block(u, scheme)
+                if family == "binomial" and block.start > fixed:
+                    kinds.add("above")
+                    with pytest.raises(NoMaximumError) as public:
+                        numeric_mle(u, scheme, family, **kwargs)
+                    with pytest.raises(NoMaximumError) as private:
+                        _block_value(u, scheme, spec, fixed)
+                    assert str(private.value) == str(public.value)
+                    continue
+                if block.start == 0:
+                    kinds.add("zero")
+                elif family == "binomial" and block.stop > fixed:
+                    kinds.add("top")
+                else:
+                    kinds.add("interior")
+                assert _block_value(u, scheme, spec, fixed) == \
+                    numeric_mle(u, scheme, family, **kwargs).value, (n, u)
+        assert kinds == ({"zero", "top", "interior", "above"} if family == "binomial"
+                         else {"zero", "interior"})
+
+    def test_closed_value_is_the_product_form_value(self):
+        for n in range(1, 13):
+            for v in range(0, 31):
+                assert _closed_value(v * n, n) == poisson_mle_closed(v * n, n).value, (n, v)
+        with pytest.raises(ValueError):
+            _closed_value(4, 3)
+
+    def test_block_above_trials_is_flagged_by_monte_carlo(self, monkeypatch):
+        # Draws never leave the support, so the totals are planted: with
+        # 4 trials in pairs the blocks of 6, 8 and 10 start above 4.
+        draws = np.array([0, 2, 8, 4, 8, 10, 6, 4])
+        monkeypatch.setattr(estimation, "sample_u", lambda model, scheme, rng, size: draws[:size])
+        model, scheme = Binomial(4, 0.5), RoundingScheme(2)
+        res = monte_carlo_mse(model, scheme, ["u", "numeric-mle"], len(draws), seed=1)
+        flagged = {r.estimator: r for r in res}["numeric-mle"]
+        with pytest.raises(NoMaximumError) as first:
+            numeric_mle(6, scheme, "binomial", trials=4)
+        assert (flagged.failures, flagged.error) == (4, str(first.value))
+        assert math.isnan(flagged.mse)
+        assert {r.estimator: r for r in res}["u"].failures == 0
 
 
 class TestExactMse:

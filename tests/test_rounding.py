@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from hypothesis.extra.numpy import arrays
+from scipy import special, stats
 
 from roundedcounts import (
     HALF_EVEN,
@@ -25,7 +27,7 @@ from roundedcounts import (
     sample_u,
     support_block,
 )
-from roundedcounts.rounding import MAX_TABLE_ENTRIES, _mle_mean_branch
+from roundedcounts.rounding import MAX_TABLE_ENTRIES, _logsumexp, _mle_mean_branch
 
 
 def brute_force_pmf(model, n, tie_rule, y_max):
@@ -199,6 +201,51 @@ class TestRoundedPmf:
         emp = np.bincount(u // 3, minlength=len(table.probs)) / draws
         sigma = np.sqrt(table.probs * (1 - table.probs) / draws)
         assert np.all(np.abs(emp[: len(table.probs)] - table.probs) < 5 * sigma + 1e-9)
+
+
+@st.composite
+def log_terms(draw):
+    """Inputs of _logsumexp: a latent log-pmf over 1-300 consecutive values
+    (binomial runs past its support give -inf entries), or 1-300 arbitrary
+    values around 0, -700 or -1e4 with repeated maxima and -inf entries,
+    and now and then all -inf."""
+    size = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        model = draw(st.sampled_from([Poisson(0.3), Poisson(40.0), Poisson(5e3),
+                                      Binomial(60, 0.3), NegativeBinomial(2.5, 0.2)]))
+        start = draw(st.integers(0, 150))
+        return np.asarray(model.logpmf(np.arange(start, start + size)))
+    a = draw(arrays(np.float64, size, elements=st.floats(-40.0, 40.0)))
+    a += draw(st.sampled_from([0.0, -700.0, -1e4]))
+    a[draw(st.lists(st.integers(0, size - 1), max_size=6))] = a.max()
+    a[draw(st.lists(st.integers(0, size - 1), max_size=20))] = -np.inf
+    if draw(st.integers(0, 9)) == 0:
+        a[:] = -np.inf
+    return a
+
+
+class TestLogSumExp:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(log_terms())
+    def test_equals_scipy_exactly(self, a):
+        assert _logsumexp(a) == float(special.logsumexp(a))
+
+    @pytest.mark.parametrize("model, lo, hi", [
+        (Poisson(2.0), 0, 1), (Poisson(7.3), 20, 24), (Poisson(2.0), 60, 80),
+        (Poisson(1e4), 11_000, 11_030), (Binomial(1000, 0.4), 450, 480),
+        (Binomial(60, 0.3), 55, 70), (NegativeBinomial(2.5, 0.05), 100, 299),
+    ], ids=repr)
+    def test_matches_50_digit_sum(self, model, lo, hi):
+        a = np.asarray(model.logpmf(np.arange(lo, hi + 1)))
+        with mp.workdps(50):
+            ref = mp.log(mp.fsum(mp.exp(mp.mpf(float(x))) for x in a))
+            assert abs((mp.mpf(_logsumexp(a)) - ref) / ref) < 1e-15
+
+    def test_edge_values(self):
+        assert _logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+        assert _logsumexp(np.array([np.inf, 0.0])) == np.inf
+        assert math.isnan(_logsumexp(np.array([np.nan, 0.0])))
+        assert _logsumexp(np.array([0.0, 0.0])) == math.log(2.0)
 
 
 def latent_pmf_by_recurrence(model, top):
