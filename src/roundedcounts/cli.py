@@ -278,6 +278,8 @@ def _cmd_pmf(args, seed):
 
 
 def _cmd_pgf_check(args, seed):
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
     table = rounded_pmf(model, scheme, 1e-14)
@@ -314,12 +316,12 @@ def _cmd_mle(args, seed):
     rows = []
     if FAMILIES[args.dist].product_form:
         closed = poisson_mle_closed(args.u, args.n)
-        rows.append(["closed-form", closed.value, closed.loglik_at_optimum, closed.converged])
+        rows.append(["closed-form", closed.value, closed.loglik_at_optimum])
     numeric = numeric_mle(args.u, scheme, args.dist, trials=args.trials, nb_size=args.nb_size)
-    rows.append(["numeric", numeric.value, numeric.loglik_at_optimum, numeric.converged])
+    rows.append(["numeric", numeric.value, numeric.loglik_at_optimum])
     config = {"dist": args.dist, "u": args.u, "n": args.n, "tie_rule": args.tie_rule,
               "trials": args.trials, "nb_size": args.nb_size, "seed": seed}
-    return config, ["method", "estimate", "loglik", "converged"], rows
+    return config, ["method", "estimate", "loglik"], rows
 
 
 def _cmd_mse_sim(args, seed):

@@ -4,9 +4,10 @@ These are the hidden non-negative integer variables whose totals are only
 observed through a rounded average.  All probability evaluations go through
 the log domain (log-gamma for factorials) so that large counts and large
 rate parameters do not overflow.  Tails come from ``scipy.special``
-(regularized incomplete gamma and beta functions).  Generating functions
-accept complex arguments because the rounding machinery evaluates them at
-roots of unity.
+(regularized incomplete gamma and beta functions): each family supplies
+its two raw tail calls, and the base class floors k and fills in the
+values outside the support.  Generating functions accept complex
+arguments because the rounding machinery evaluates them at roots of unity.
 
 ``FAMILIES`` is the one table of what estimation from a rounded total needs
 to know about each family; other modules look a family up there.
@@ -55,11 +56,29 @@ class CountDistribution:
 
     def cdf(self, k):
         """P(Y <= k)."""
-        raise NotImplementedError
+        return self._tail(k, self._cdf_at, 0.0, 1.0)
 
     def sf(self, k):
         """P(Y > k)."""
+        return self._tail(k, self._sf_at, 1.0, 0.0)
+
+    def _cdf_at(self, k):
+        """P(Y <= k) for float k with 0 <= k < upper_support(): one ufunc call."""
         raise NotImplementedError
+
+    def _sf_at(self, k):
+        """P(Y > k) for float k with 0 <= k < upper_support(): one ufunc call."""
+        raise NotImplementedError
+
+    def _tail(self, k, at, below: float, above: float):
+        """A tail at floor(k): ``below`` under 0, ``above`` at and past the
+        largest support point, and ``at`` of k clipped into the support."""
+        k = np.floor(k)
+        top = self.upper_support()
+        if top is None:
+            return np.where(k < 0, below, at(np.maximum(k, 0.0)))[()]
+        out = at(np.minimum(np.maximum(k, 0.0), top - 1.0))
+        return np.where(k < 0, below, np.where(k >= top, above, out))[()]
 
     def pgf(self, s):
         """E(s**Y) as a complex number (closed form)."""
@@ -85,8 +104,11 @@ class CountDistribution:
         """
         if not 0.0 < tail_eps < 1.0:
             raise ValueError("tail_eps must be in (0, 1)")
-        return (self._first_true(lambda k: self.cdf(k) >= tail_eps),
-                self._first_true(lambda k: self.sf(k) < tail_eps))
+        # The bisection only visits 0 <= k <= top, and at the top both tails
+        # are settled (cdf 1, sf 0), so the raw tail functions suffice.
+        top, cdf_at, sf_at = self.upper_support(), self._cdf_at, self._sf_at
+        return (self._first_true(lambda k: k == top or cdf_at(float(k)) >= tail_eps),
+                self._first_true(lambda k: k == top or sf_at(float(k)) < tail_eps))
 
     def _first_true(self, pred: Callable[[int], bool]) -> int:
         """Smallest k >= 0 with pred(k), for pred false up to some k and true after.
@@ -136,13 +158,11 @@ class Poisson(CountDistribution):
         out = special.xlogy(k, self.theta) - self.theta - special.gammaln(k + 1.0)
         return np.where(k >= 0, out, -np.inf)[()]
 
-    def cdf(self, k):
-        k = np.floor(k)
-        return np.where(k < 0, 0.0, special.pdtr(np.maximum(k, 0.0), self.theta))[()]
+    def _cdf_at(self, k):
+        return special.pdtr(k, self.theta)
 
-    def sf(self, k):
-        k = np.floor(k)
-        return np.where(k < 0, 1.0, special.pdtrc(np.maximum(k, 0.0), self.theta))[()]
+    def _sf_at(self, k):
+        return special.pdtrc(k, self.theta)
 
     def pgf(self, s):
         s = np.asarray(s, dtype=complex)
@@ -188,17 +208,11 @@ class Binomial(CountDistribution):
 
     # Incomplete beta forms rather than special.bdtr/bdtrc, which lose
     # accuracy at large trial counts (off by 0.40 at k = mean, 1e9 trials).
-    def cdf(self, k):
-        k = np.floor(k)
-        inner = np.minimum(np.maximum(k, 0.0), self.trials - 1.0)
-        out = special.betainc(self.trials - inner, inner + 1.0, 1.0 - self.prob)
-        return np.where(k < 0, 0.0, np.where(k >= self.trials, 1.0, out))[()]
+    def _cdf_at(self, k):
+        return special.betainc(self.trials - k, k + 1.0, 1.0 - self.prob)
 
-    def sf(self, k):
-        k = np.floor(k)
-        inner = np.minimum(np.maximum(k, 0.0), self.trials - 1.0)
-        out = special.betainc(inner + 1.0, self.trials - inner, self.prob)
-        return np.where(k < 0, 1.0, np.where(k >= self.trials, 0.0, out))[()]
+    def _sf_at(self, k):
+        return special.betainc(k + 1.0, self.trials - k, self.prob)
 
     def pgf(self, s):
         s = np.asarray(s, dtype=complex)
@@ -250,15 +264,11 @@ class NegativeBinomial(CountDistribution):
         )
         return np.where(k >= 0, out, -np.inf)[()]
 
-    def cdf(self, k):
-        k = np.floor(k)
-        out = special.betainc(self.size, np.maximum(k, 0.0) + 1.0, self.prob)
-        return np.where(k < 0, 0.0, out)[()]
+    def _cdf_at(self, k):
+        return special.betainc(self.size, k + 1.0, self.prob)
 
-    def sf(self, k):
-        k = np.floor(k)
-        out = special.betaincc(self.size, np.maximum(k, 0.0) + 1.0, self.prob)
-        return np.where(k < 0, 1.0, out)[()]
+    def _sf_at(self, k):
+        return special.betaincc(self.size, k + 1.0, self.prob)
 
     def pgf(self, s):
         # E(s**Y) = (p / (1 - (1-p) s))**size, analytic for |s| < 1/(1-p).

@@ -58,7 +58,6 @@ class Estimate:
     value: float
     method: str
     loglik_at_optimum: float
-    converged: bool
 
 
 def poisson_mle_closed(u, n: int) -> Estimate:
@@ -79,7 +78,7 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     """
     value = _closed_value(u, n)
     loglik = rounded_logpmf(Poisson(value), RoundingScheme(int(n)), u) if value > 0 else 0.0
-    return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik, converged=True)
+    return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik)
 
 
 def _closed_value(u, n: int) -> float:
@@ -114,7 +113,7 @@ def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
     value = _block_value(u, scheme, spec, fixed)
     # A zero estimate is the model concentrated at 0, which lies in the block.
     loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
-    return Estimate(value=value, method="numeric", loglik_at_optimum=loglik, converged=True)
+    return Estimate(value=value, method="numeric", loglik_at_optimum=loglik)
 
 
 def _block_value(u, scheme: RoundingScheme, spec: Family, fixed) -> float:

@@ -246,17 +246,26 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: floa
     function at consecutive block edges, the cdf up to the mean and the
     survival function beyond it, so both tails keep full absolute
     precision; each edge is evaluated once.  For n = 1 this is the latent
-    pmf over the window.  A table over ``MAX_TABLE_ENTRIES`` entries raises
-    ValueError.
+    pmf over the window.  A table over ``MAX_TABLE_ENTRIES`` entries, a
+    window whose block edges would overflow int64, or a tail_eps above 0.5
+    whose quantiles cross raises ValueError.
     """
     n = scheme.n
     y_lo, y_hi = model.support_window(tail_eps)
+    if y_lo > y_hi:
+        raise ValueError(f"tail_eps={tail_eps} leaves an empty window: the lower quantile "
+                         f"{y_lo} lies above the upper one {y_hi}, as it does for tail_eps "
+                         f"above 0.5")
     # The table holds at least (y_hi - y_lo) // n entries; refusing on that
     # first keeps a window beyond int64 away from round_count.
     if (y_hi - y_lo) // n > MAX_TABLE_ENTRIES:
         raise ValueError(f"the latent window of {y_hi - y_lo + 1} values needs a table of U "
                          f"over the limit of {MAX_TABLE_ENTRIES} entries")
-    v_lo, v_hi = (round_count(y, n, scheme.tie_rule) for y in (y_lo, y_hi))
+    # The block edges below are int64 and reach up to n past y_hi.
+    if y_hi + n > np.iinfo(np.int64).max:
+        raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
+                         f"for blocks of n={n}")
+    v_lo, v_hi = round_count(np.array([y_lo, y_hi]), n, scheme.tie_rule)
     if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
         raise ValueError(f"the table of U would hold {v_hi - v_lo + 1} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")

@@ -26,7 +26,8 @@ def format_cell(value) -> str:
         return str(value)
     if isinstance(value, float):
         text = f"{value:.17g}"
-        if not any(c in text for c in ".eE") and text not in ("inf", "-inf", "nan"):
+        # The .17g format writes exponents with a lower-case "e" only.
+        if "." not in text and "e" not in text and text not in ("inf", "-inf", "nan"):
             text += ".0"
         return text
     return str(value)

@@ -70,6 +70,7 @@ def test_mle_subcommand(capsys):
     values = {row[0]: row[1] for row in rows}
     assert values["closed-form"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert values["numeric"] == pytest.approx(np.sqrt(2.0), abs=1e-6)
+    assert columns == ["method", "estimate", "loglik"]
 
 
 def test_mle_rejects_model_flags_it_does_not_read(capsys):
@@ -172,6 +173,23 @@ def test_oversized_pmf_is_usage_error(capsys, theta):
     assert code == 2
     assert out == ""
     assert "entries" in json.loads(err.strip())["error"]
+
+
+def test_crossing_tail_quantiles_are_usage_error(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--dist", "poisson", "--theta", "50",
+                             "--n-list", "1", "--tail-eps", "0.6")
+    assert code == 2
+    assert out == ""
+    assert "tail_eps" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_pgf_check_without_points_is_usage_error(capsys, points):
+    code, out, err = run_cli(capsys, "pgf-check", "--dist", "poisson", "--theta", "2",
+                             "--n", "4", "--points", points)
+    assert code == 2
+    assert out == ""
+    assert "--points" in json.loads(err.strip())["error"]
 
 
 def test_import_leaves_scipy_stats_unloaded():

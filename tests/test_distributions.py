@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 from roundedcounts import Binomial, NegativeBinomial, Poisson
 
@@ -225,3 +226,91 @@ def test_tails_outside_the_support(model):
         assert model.cdf(top + 3) == 1.0 and model.sf(top + 3) == 0.0
     ks = np.arange(-2, 40)
     assert np.all(np.isfinite(model.cdf(ks))) and np.all(np.isfinite(model.sf(ks)))
+
+
+# Each family's tails written out in full, flooring and edge values included,
+# as the reference that cdf and sf must reproduce bit for bit.
+def reference_tails(model, k):
+    k = np.floor(k)
+    if isinstance(model, Poisson):
+        return (np.where(k < 0, 0.0, special.pdtr(np.maximum(k, 0.0), model.theta))[()],
+                np.where(k < 0, 1.0, special.pdtrc(np.maximum(k, 0.0), model.theta))[()])
+    if isinstance(model, Binomial):
+        inner = np.minimum(np.maximum(k, 0.0), model.trials - 1.0)
+        cdf = special.betainc(model.trials - inner, inner + 1.0, 1.0 - model.prob)
+        sf = special.betainc(inner + 1.0, model.trials - inner, model.prob)
+        return (np.where(k < 0, 0.0, np.where(k >= model.trials, 1.0, cdf))[()],
+                np.where(k < 0, 1.0, np.where(k >= model.trials, 0.0, sf))[()])
+    cdf = special.betainc(model.size, np.maximum(k, 0.0) + 1.0, model.prob)
+    sf = special.betaincc(model.size, np.maximum(k, 0.0) + 1.0, model.prob)
+    return np.where(k < 0, 0.0, cdf)[()], np.where(k < 0, 1.0, sf)[()]
+
+
+PINNED_MODELS = ALL_MODELS + [Poisson(1e18), Binomial(1, 0.0), Binomial(1, 1.0),
+                              Binomial(3, 0.0), Binomial(3, 1.0), Binomial(10**9, 0.3),
+                              NegativeBinomial(0.3, 1.0), NegativeBinomial(2.5, 1e-6)]
+PINNED_POINTS = [0, 1, 3, 4, 21, -1, -7, 2.5, -0.5, 3.999, 1e12, -1e300, 1e300,
+                 np.float64(7.0), np.int64(2), math.nan, math.inf, -math.inf,
+                 [0, 1, 2], np.arange(-3, 30), np.linspace(-2.5, 25.5, 57),
+                 np.array([math.nan, math.inf, -math.inf, 0.0, 3.0, 1e20]),
+                 np.array(5.0), np.zeros((2, 3)), np.array([], dtype=float)]
+
+
+@pytest.mark.parametrize("model", PINNED_MODELS, ids=repr)
+def test_tails_are_bitwise_the_per_family_formulas(model):
+    with np.errstate(invalid="ignore"):
+        for k in PINNED_POINTS:
+            for got, want in zip((model.cdf(k), model.sf(k)), reference_tails(model, k)):
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def reference_first(pred_of_array, top) -> int:
+    """Smallest k >= 0 with the monotone predicate true: a doubling search
+    from 0 and then a 64-way narrowing, each step on a whole vector of k."""
+    powers = np.concatenate(([0], 2 ** np.arange(63, dtype=np.int64)))
+    if top is not None:
+        powers = np.unique(np.minimum(powers, top))
+    first = int(np.argmax(pred_of_array(powers)))
+    assert first > 0 or pred_of_array(powers[:1])[0]
+    if first == 0:
+        return 0
+    lo, hi = int(powers[first - 1]), int(powers[first])  # pred(lo) false, pred(hi) true
+    while hi - lo > 1:
+        grid = np.array(sorted({lo + (hi - lo) * j // 64 for j in range(65)}), dtype=np.int64)
+        at = int(np.argmax(pred_of_array(grid)))
+        lo, hi = int(grid[at - 1]), int(grid[at])
+    return hi
+
+
+@st.composite
+def windowed_models(draw):
+    kind = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
+    if kind == "poisson":
+        model = Poisson(10.0 ** draw(st.floats(-3.0, 18.0)))
+    elif kind == "binomial":
+        trials = draw(st.one_of(st.just(1), st.integers(1, 50), st.integers(1, 10**9)))
+        model = Binomial(trials, draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    else:
+        model = NegativeBinomial(10.0 ** draw(st.floats(-2.0, 6.0)),
+                                 draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0))))
+    eps = draw(st.one_of(st.sampled_from([1e-300, 0.5]), st.floats(-300.0, math.log10(0.5)).map(
+        lambda e: 10.0 ** e)))
+    if draw(st.integers(0, 3)) == 0:
+        # A tail value of the model itself, so that a predicate meets eps with equality.
+        k = max(0, math.floor(model.mean() + draw(st.floats(-3.0, 3.0)) * math.sqrt(model.variance())))
+        tail = float(draw(st.sampled_from([model.cdf, model.sf]))(k))
+        eps = tail if 0.0 < tail <= 0.5 else eps
+    return model, eps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(windowed_models())
+def test_support_window_matches_a_vector_bisection(case):
+    model, eps = case
+    top = model.upper_support()
+    lo = reference_first(lambda k: model.cdf(k) >= eps, top)
+    hi = reference_first(lambda k: model.sf(k) < eps, top)
+    assert model.support_window(eps) == (lo, hi)

@@ -321,6 +321,24 @@ class TestWindow:
         assert len(table.probs) == 146_786
         assert table.total() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("model", [Poisson(50.0), Binomial(40, 0.5), NegativeBinomial(3.0, 0.4)],
+                             ids=repr)
+    def test_crossing_quantiles_are_refused(self, model):
+        # Above 0.5 the lower tail_eps-quantile lies above the upper one.
+        lo, hi = model.support_window(0.6)
+        assert lo > hi
+        with pytest.raises(ValueError, match="tail_eps"):
+            rounded_pmf(model, RoundingScheme(1), 0.6)
+        table = rounded_pmf(model, RoundingScheme(1), 0.5)
+        assert len(table.probs) == 1
+
+    @pytest.mark.parametrize("theta, n", [(1e19, 10**6), (5e19, 10**7), (1e3, 2**63)])
+    def test_block_edges_beyond_int64_are_refused(self, theta, n):
+        # Here the lattice points v*n would wrap around in int64 and give an
+        # all-zero table with mass_above 1.
+        with pytest.raises(ValueError, match="int64"):
+            rounded_pmf(Poisson(theta), RoundingScheme(n))
+
     def test_oversized_table_is_refused(self):
         with pytest.raises(ValueError, match="entries"):
             rounded_pmf(Poisson(1e14), RoundingScheme(1))
