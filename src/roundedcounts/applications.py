@@ -168,6 +168,8 @@ def _significance_levels(m: int, n: int, phi0_grid, alphas, mode: str,
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     phi0_grid = np.asarray(list(phi0_grid), dtype=float)
+    if phi0_grid.size == 0 or len(alphas) == 0:
+        raise ValueError("phi0_grid and alphas must be non-empty")
     if np.any((phi0_grid <= 0.0) | (phi0_grid >= 1.0)):
         raise ValueError("phi0 values must lie strictly inside (0, 1)")
     total = int(m) * int(n)

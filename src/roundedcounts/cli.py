@@ -85,19 +85,27 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, _DEFAULT_SEED))
 
 
+def _non_empty(values: list, text: str) -> list:
+    # argparse reports this error with the flag's name and exits 2.
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no values")
+    return values
+
+
 def parse_float_list(text: str) -> list[float]:
-    """Comma list ("0.1,0.5,2") or inclusive range ("0.1:0.9:0.05")."""
+    """Comma list ("0.1,0.5,2") or inclusive range ("0.1:0.9:0.05"); never empty."""
     if ":" in text:
         start, stop, step = (float(part) for part in text.split(":"))
         if step <= 0:
             raise ValueError(f"grid step must be positive in {text!r}")
         count = int(round((stop - start) / step))
-        return [round(start + i * step, 12) for i in range(count + 1)]
-    return [float(part) for part in text.split(",") if part]
+        return _non_empty([round(start + i * step, 12) for i in range(count + 1)], text)
+    return _non_empty([float(part) for part in text.split(",") if part], text)
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    """Comma list ("1,3,10"); never empty."""
+    return _non_empty([int(part) for part in text.split(",") if part], text)
 
 
 def _build_model(args) -> tuple[object, dict]:

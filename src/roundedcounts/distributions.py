@@ -15,6 +15,8 @@ to know about each family; other modules look a family up there.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +47,10 @@ class CountDistribution:
         raise NotImplementedError
 
     def variance(self) -> float:
+        raise NotImplementedError
+
+    def skewness(self) -> float:
+        """Third standardized moment (closed form), for a positive variance."""
         raise NotImplementedError
 
     def logpmf(self, k):
@@ -100,38 +106,56 @@ class CountDistribution:
 
         ``lo`` is the smallest k with P(Y <= k) >= tail_eps (0 whenever
         P(Y = 0) >= tail_eps) and ``hi`` the smallest k with
-        P(Y > k) < tail_eps, at most the largest support point.
+        P(Y > k) < tail_eps, at most the largest support point.  Each search
+        starts at the Cornish-Fisher estimate ``mean + sd*(-+z + (z**2 - 1)*skew/6)``
+        of its quantile, with ``z = -ndtri(tail_eps)``.
         """
         if not 0.0 < tail_eps < 1.0:
             raise ValueError("tail_eps must be in (0, 1)")
-        # The bisection only visits 0 <= k <= top, and at the top both tails
+        z, mean, sd = -float(special.ndtri(tail_eps)), self.mean(), math.sqrt(self.variance())
+        shift = (z * z - 1.0) * self.skewness() / 6.0 if sd > 0 else 0.0
+        # The search only visits 0 <= k <= top, and at the top both tails
         # are settled (cdf 1, sf 0), so the raw tail functions suffice.
         top, cdf_at, sf_at = self.upper_support(), self._cdf_at, self._sf_at
-        return (self._first_true(lambda k: k == top or cdf_at(float(k)) >= tail_eps),
-                self._first_true(lambda k: k == top or sf_at(float(k)) < tail_eps))
+        return (self._first_true(lambda k: k == top or cdf_at(float(k)) >= tail_eps,
+                                 mean + sd * (shift - z)),
+                self._first_true(lambda k: k == top or sf_at(float(k)) < tail_eps,
+                                 mean + sd * (shift + z)))
 
-    def _first_true(self, pred: Callable[[int], bool]) -> int:
+    def _first_true(self, pred: Callable[[int], bool], guess: float) -> int:
         """Smallest k >= 0 with pred(k), for pred false up to some k and true after.
 
-        Bisection over mean +- 10 sd; the bracket halves toward 0 or doubles
-        outward (up to the largest support point) until it holds the answer.
+        From ``guess`` (rounded down and clipped into the support) the
+        search gallops toward the answer in steps of 1, 2, 4, ... until pred
+        flips, then bisects inside the last step.
         """
-        mean, spread = self.mean(), 10.0 * np.sqrt(self.variance())
-        lo, hi = max(0, int(mean - spread)), max(1, int(mean + spread + 10.0))
         top = self.upper_support()
-        if top is not None:
-            hi = min(hi, top)
-        while lo > 0 and pred(lo):
-            lo //= 2
-        while not pred(hi):
-            hi = 2 * hi if top is None else min(2 * hi, top)
-        while lo < hi:
+        # In this argument order a NaN guess starts at 0 and an infinite one at the cap.
+        k = int(min(sys.float_info.max if top is None else top, max(0.0, guess)))
+        step = 1
+        if pred(k):
+            hi = k
+            while hi > 0:
+                lo = max(hi - step, 0)
+                if not pred(lo):
+                    break
+                hi, step = lo, 2 * step
+            else:
+                return 0
+        else:
+            lo = k
+            while True:
+                hi = lo + step if top is None else min(lo + step, top)
+                if pred(hi):
+                    break
+                lo, step = hi, 2 * step
+        while hi - lo > 1:
             mid = (lo + hi) // 2
             if pred(mid):
                 hi = mid
             else:
-                lo = mid + 1
-        return lo
+                lo = mid
+        return hi
 
 
 class Poisson(CountDistribution):
@@ -152,6 +176,9 @@ class Poisson(CountDistribution):
 
     def variance(self):
         return self.theta
+
+    def skewness(self):
+        return 1.0 / math.sqrt(self.theta)
 
     def logpmf(self, k):
         k = np.asarray(k, dtype=float)
@@ -197,6 +224,9 @@ class Binomial(CountDistribution):
 
     def variance(self):
         return self.trials * self.prob * (1.0 - self.prob)
+
+    def skewness(self):
+        return (1.0 - 2.0 * self.prob) / math.sqrt(self.variance())
 
     def logpmf(self, k):
         k = np.asarray(k, dtype=float)
@@ -251,6 +281,9 @@ class NegativeBinomial(CountDistribution):
 
     def variance(self):
         return self.size * (1.0 - self.prob) / self.prob**2
+
+    def skewness(self):
+        return (2.0 - self.prob) / math.sqrt(self.size * (1.0 - self.prob))
 
     def logpmf(self, k):
         k = np.asarray(k, dtype=float)

@@ -133,21 +133,23 @@ def round_count(y, n: int, tie_rule: str = HALF_UP):
     """Nearest integer to y/n computed exactly on integers (no float ties).
 
     A tie is detected as ``2*(y mod n) == n``, which can only happen for
-    even n.  Accepts scalars or integer arrays.
+    even n.  Accepts scalars or integer arrays; a Python int is rounded in
+    Python integer arithmetic, without numpy.
     """
     if tie_rule not in _TIE_RULES:
         raise ValueError(f"tie_rule must be one of {_TIE_RULES}, got {tie_rule!r}")
-    arr = np.asarray(y)
-    if np.any(arr < 0):
+    scalar = isinstance(y, int)
+    arr = y if scalar else np.asarray(y)
+    if (arr < 0) if scalar else np.any(arr < 0):
         raise ValueError("counts must be non-negative")
-    quot, rem = np.divmod(arr, n)
+    quot, rem = divmod(arr, n)
     twice = 2 * rem
     if tie_rule == HALF_UP:
         bump = twice >= n
     else:
         bump = (twice > n) | ((twice == n) & (quot % 2 == 1))
     quot += bump
-    return int(quot) if arr.ndim == 0 else quot
+    return int(quot) if scalar or arr.ndim == 0 else quot
 
 
 def _check_lattice(u, n: int) -> int:
@@ -236,6 +238,8 @@ class RoundedPmf:
 #: any array is allocated.
 MAX_TABLE_ENTRIES = 2**22
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: float = 1e-12) -> RoundedPmf:
     """Tabulate P(U = u) over the lattice points between the tail_eps-quantiles of Y.
@@ -262,10 +266,10 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: floa
         raise ValueError(f"the latent window of {y_hi - y_lo + 1} values needs a table of U "
                          f"over the limit of {MAX_TABLE_ENTRIES} entries")
     # The block edges below are int64 and reach up to n past y_hi.
-    if y_hi + n > np.iinfo(np.int64).max:
+    if y_hi + n > _INT64_MAX:
         raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
                          f"for blocks of n={n}")
-    v_lo, v_hi = round_count(np.array([y_lo, y_hi]), n, scheme.tie_rule)
+    v_lo, v_hi = round_count(y_lo, n, scheme.tie_rule), round_count(y_hi, n, scheme.tie_rule)
     if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
         raise ValueError(f"the table of U would hold {v_hi - v_lo + 1} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")

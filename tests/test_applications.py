@@ -163,6 +163,15 @@ class TestTrueSignificance:
             assert np.array_equal(row, true_significance(500, 31, PHI0_GRID, alpha, mode).true_level)
 
 
+@pytest.mark.parametrize("phi0_grid, alphas", [([], [0.05]), (PHI0_GRID, []), ([], [])])
+def test_significance_levels_refuse_empty_lists(phi0_grid, alphas):
+    with pytest.raises(ValueError, match="non-empty"):
+        _significance_levels(500, 31, phi0_grid, alphas, "exact-y")
+    if alphas:
+        with pytest.raises(ValueError, match="non-empty"):
+            true_significance(500, 31, phi0_grid, alphas[0], "binned-u")
+
+
 class TestBinnedTest:
     def test_reduces_to_exact_binomial_test_without_grouping(self):
         m, phi0, alpha = 40, 0.3, 0.05

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -26,6 +27,11 @@ def test_grid_parsing():
     assert parse_int_list("1,2,5") == [1, 2, 5]
     with pytest.raises(ValueError):
         parse_float_list("1:2:-1")
+    for text in ("", ",", "0.9:0.1:0.05"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_float_list(text)
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_int_list(",,")
 
 
 def test_pmf_matches_library(capsys):
@@ -190,6 +196,19 @@ def test_pgf_check_without_points_is_usage_error(capsys, points):
     assert code == 2
     assert out == ""
     assert "--points" in json.loads(err.strip())["error"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["true-significance", "--phi0-grid", "0.9:0.1:0.05"], "--phi0-grid"),
+    (["true-significance", "--alpha-list", ","], "--alpha-list"),
+    (["pmf", "--theta", "2", "--n-list", ","], "--n-list"),
+    (["mse-ratio", "--dist", "poisson", "--param-grid", "1", "--n-list", ""], "--n-list"),
+])
+def test_empty_list_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -85,6 +85,22 @@ class TestRounding:
                 assert round_count(ys, n, tie).tolist() == expected
 
 
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(1, 10**9), st.integers(0, 2**31), st.integers(-3, 3),
+           st.sampled_from([HALF_UP, HALF_EVEN]))
+    def test_python_int_path_equals_the_array_path(self, n, v, offset, tie):
+        # y near v*n + n//2, so exact ties (even n, offset 0) and 0 are drawn
+        y = max(0, v * n + n // 2 + offset) if v else max(0, offset)
+        got = round_count(y, n, tie)
+        assert type(got) is int
+        assert got == int(round_count(np.array([y]), n, tie)[0]) == round_count(np.int64(y), n, tie)
+
+    @settings(derandomize=True)
+    @given(st.integers(max_value=-1), st.integers(1, 100))
+    def test_negative_python_ints_rejected(self, y, n):
+        with pytest.raises(ValueError):
+            round_count(y, n)
+
 class TestBlocks:
     def test_block_examples(self):
         assert support_block(0, RoundingScheme(3)) == range(0, 2)
