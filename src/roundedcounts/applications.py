@@ -20,6 +20,7 @@ from .distributions import Binomial
 from .estimation import poisson_mle_closed
 from .rounding import (
     HALF_UP,
+    TAIL_EPS,
     RoundedPmf,
     RoundingScheme,
     _check_lattice,
@@ -74,6 +75,8 @@ def excess_point_estimates(u1, u2, n1: int, n2: int) -> tuple[float, float]:
     compensates the rounding bias of the plain contrast when the rates are
     small relative to the group counts.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("n1 and n2 must be positive integers")
     u1 = _check_lattice(u1, n1)
     u2 = _check_lattice(u2, n2)
     ratio = n2 / n1
@@ -159,8 +162,8 @@ def _significance_levels(m: int, n: int, phi0_grid, alphas, mode: str,
     """True levels of :func:`true_significance`, indexed [alpha, phi0].
 
     The rounded table of each phi0 depends on alpha only through its tail
-    quantile (1e-12, or alpha/2 when smaller for ``binned-u``), so it is
-    built once per distinct quantile and shared by the alphas.
+    quantile (``TAIL_EPS``, or alpha/2 when smaller for ``binned-u``), so
+    it is built once per distinct quantile and shared by the alphas.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -184,12 +187,12 @@ def _significance_levels(m: int, n: int, phi0_grid, alphas, mode: str,
             if mode == MODE_EXACT_Y:
                 levels[a, idx] = float(model.cdf(np.ceil(lo) - 1.0) + model.sf(np.floor(hi)))
             elif mode == MODE_MISSPECIFIED_U:
-                table = tabulate(1e-12)
+                table = tabulate(TAIL_EPS)
                 support = table.support
                 outside = (support < lo) | (support > hi)
                 # A side's off-window mass counts when the lattice point next to
                 # the table is outside the acceptance interval, and with it every
-                # point beyond; otherwise it is left out, an error below 1e-12.
+                # point beyond; otherwise it is left out, an error below TAIL_EPS.
                 below = table.mass_below if support[0] - scheme.n < lo else 0.0
                 above = table.mass_above if support[-1] + scheme.n > hi else 0.0
                 levels[a, idx] = float(np.sum(table.probs[outside])) + below + above
@@ -210,7 +213,7 @@ class BinnedTestResult:
 
 def _binned_eps(alpha: float) -> float:
     """Tail quantile of the table behind the binned test at level alpha."""
-    return min(1e-12, alpha / 2.0)
+    return min(TAIL_EPS, alpha / 2.0)
 
 
 def _binned_region(table: RoundedPmf, alpha: float):

@@ -47,6 +47,7 @@ from .applications import (
 )
 from .distributions import FAMILIES
 from .estimation import (
+    _ESTIMATOR_NAMES,
     NoMaximumError,
     _estimator_fn,
     exact_mse,
@@ -57,6 +58,8 @@ from .estimation import (
 from .rounding import (
     HALF_EVEN,
     HALF_UP,
+    MAX_TABLE_ENTRIES,
+    TAIL_EPS,
     NearRootOfUnityError,
     NumericalInconsistencyError,
     RoundingScheme,
@@ -81,10 +84,6 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, _DEFAULT_SEED))
-
-
 def _non_empty(values: list, text: str) -> list:
     # argparse reports this error with the flag's name and exits 2.
     if not values:
@@ -93,12 +92,19 @@ def _non_empty(values: list, text: str) -> list:
 
 
 def parse_float_list(text: str) -> list[float]:
-    """Comma list ("0.1,0.5,2") or inclusive range ("0.1:0.9:0.05"); never empty."""
+    """Comma list ("0.1,0.5,2") or inclusive range ("0.1:0.9:0.05"); never
+    empty.  A range must be finite and hold at most ``MAX_TABLE_ENTRIES`` points."""
     if ":" in text:
         start, stop, step = (float(part) for part in text.split(":"))
+        if not np.all(np.isfinite((start, stop, step))):
+            raise argparse.ArgumentTypeError(f"grid range {text!r} must be finite")
         if step <= 0:
             raise ValueError(f"grid step must be positive in {text!r}")
-        count = int(round((stop - start) / step))
+        span = (stop - start) / step
+        if not span < MAX_TABLE_ENTRIES - 0.5:  # more than the limit, or inf
+            raise argparse.ArgumentTypeError(f"grid range {text!r} holds more points than "
+                                             f"the limit, {MAX_TABLE_ENTRIES}")
+        count = int(round(span))
         return _non_empty([round(start + i * step, 12) for i in range(count + 1)], text)
     return _non_empty([float(part) for part in text.split(",") if part], text)
 
@@ -106,6 +112,14 @@ def parse_float_list(text: str) -> list[float]:
 def parse_int_list(text: str) -> list[int]:
     """Comma list ("1,3,10"); never empty."""
     return _non_empty([int(part) for part in text.split(",") if part], text)
+
+
+def parse_estimator_list(text: str) -> str:
+    """Comma list of estimator names ("u,closed-mle"), returned as given."""
+    for name in text.split(","):
+        if name not in _ESTIMATOR_NAMES:
+            raise argparse.ArgumentTypeError(f"unknown estimator {name!r} in {text!r}")
+    return text
 
 
 def _build_model(args) -> tuple[object, dict]:
@@ -160,9 +174,9 @@ def _add_common(parser: argparse.ArgumentParser, presets=()):
         parser.set_defaults(preset=None)
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, default_dist="poisson"):
-    parser.add_argument("--dist", choices=list(FAMILIES),
-                        default=default_dist, help="latent count family")
+def _add_model_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--dist", choices=list(FAMILIES), default="poisson",
+                        help="latent count family")
     parser.add_argument("--theta", type=float, default=None, help="Poisson mean of the total")
     parser.add_argument("--trials", type=int, default=None, help="binomial total trial count")
     parser.add_argument("--prob", type=float, default=None,
@@ -184,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=parse_int_list, default="3", metavar="N[,N...]",
                    help="group counts (default: 3)")
     p.add_argument("--tie-rule", choices=[HALF_UP, HALF_EVEN], default=HALF_UP)
-    p.add_argument("--tail-eps", type=float, default=1e-12)
+    p.add_argument("--tail-eps", type=float, default=TAIL_EPS)
     _add_common(p, presets=["fig1"])
 
     p = sub.add_parser("pgf-check", help="compare the closed generating function with the tabulated series")
@@ -214,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="GRID", help="per-measurement means (Poisson) or probabilities")
     p.add_argument("--n-list", type=parse_int_list, default=None)
     p.add_argument("--reps", type=int, default=50_000, help="replications per cell (default: 50000)")
-    p.add_argument("--estimators", default="u,closed-mle", metavar="NAME[,NAME...]",
+    p.add_argument("--estimators", type=parse_estimator_list, default="u,closed-mle",
+                   metavar="NAME[,NAME...]",
                    help="subset of u,closed-mle,numeric-mle (default: u,closed-mle)")
     p.add_argument("--trials-per-measurement", type=int, default=None)
     p.add_argument("--nb-size", type=float, default=None)
@@ -225,10 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", choices=list(FAMILIES), default="poisson")
     p.add_argument("--param-grid", type=parse_float_list, required=True)
     p.add_argument("--n-list", type=parse_int_list, required=True)
-    p.add_argument("--estimator", choices=["u", "closed-mle", "numeric-mle"], default="u")
+    p.add_argument("--estimator", choices=_ESTIMATOR_NAMES, default="u")
     p.add_argument("--trials-per-measurement", type=int, default=None)
     p.add_argument("--nb-size", type=float, default=None)
-    p.add_argument("--prob-floor", type=float, default=1e-10)
     p.add_argument("--tie-rule", choices=[HALF_UP, HALF_EVEN], default=HALF_UP)
     _add_common(p)
 
@@ -240,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="fixed binomial total trial count shared by every group count")
     p.add_argument("--nb-size", type=float, default=None)
-    p.add_argument("--prob-floor", type=float, default=1e-10,
-                   help="latent values with probability above this enter the sums (default: 1e-10)")
     _add_common(p, presets=["fig6"])
 
     p = sub.add_parser("binned-test", help="exact conservative test of a success probability from a rounded total")
@@ -350,24 +362,20 @@ def _cmd_mse_sim(args, seed):
 
 
 def _cmd_mse_exact(args, seed):
-    experiment = ExperimentConfig(
-        seed=seed, family=args.dist, param_grid=tuple(args.param_grid),
-        n_list=tuple(args.n_list), tie_rule=args.tie_rule,
-        trials_per_measurement=args.trials_per_measurement, nb_size=args.nb_size,
-    )
-    target_attr = FAMILIES[args.dist].fitted
+    spec = FAMILIES[args.dist]
+    fixed = spec.resolve(trials=args.trials_per_measurement, nb_size=args.nb_size)
     rows = []
     for param in args.param_grid:
         for n in args.n_list:
-            model = experiment.model_for(param, n)
-            target = getattr(model, target_attr)
+            model = spec.make(param, fixed, n)
+            target = getattr(model, spec.fitted)
             scheme = RoundingScheme(n, args.tie_rule)
             fn = _estimator_fn(args.estimator, model, scheme)
-            mse = exact_mse(fn, model, scheme, target, args.prob_floor)
+            mse = exact_mse(fn, model, scheme, target)
             rows.append([args.dist, param, n, args.estimator, mse])
     config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
               "n_list": ",".join(map(str, args.n_list)), "estimator": args.estimator,
-              "prob_floor": args.prob_floor, "tie_rule": args.tie_rule,
+              "tail_eps": TAIL_EPS, "tie_rule": args.tie_rule,
               "trials_per_measurement": args.trials_per_measurement,
               "nb_size": args.nb_size, "seed": seed}
     return config, ["family", "param", "n", "estimator", "mse"], rows
@@ -380,7 +388,7 @@ def _cmd_mse_ratio(args, seed):
         raise ValueError("--n-list is required without the fig6 preset")
     families = [args.dist] if args.dist else list(FAMILIES)
     config = {"families": ",".join(families), "n_list": ",".join(map(str, args.n_list)),
-              "prob_floor": args.prob_floor, "trials": None, "nb_size": None, "seed": seed}
+              "tail_eps": TAIL_EPS, "trials": None, "nb_size": None, "seed": seed}
     rows = []
     for family in families:
         spec = FAMILIES[family]
@@ -389,7 +397,7 @@ def _cmd_mse_ratio(args, seed):
         if spec.fixed:
             value = getattr(args, spec.fixed)
             fixed[spec.fixed] = spec.ratio_fixed if value is None else value
-        curve = mse_ratio_curve(family, grid, args.n_list, prob_floor=args.prob_floor, **fixed)
+        curve = mse_ratio_curve(family, grid, args.n_list, **fixed)
         rows.extend([family, param, n, mr, mu, psi]
                     for param, n, mr, mu, psi in curve.iter_rows())
         config[f"param_grid_{family}"] = ",".join(map(str, grid))
@@ -476,7 +484,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = int(os.environ.get(SEED_ENV_VAR, _DEFAULT_SEED)) if args.seed is None else args.seed
     try:
         config, columns, rows = _HANDLERS[args.command](args, seed)
         config.setdefault("command", args.command)

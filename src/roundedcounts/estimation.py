@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -23,10 +23,11 @@ from .distributions import (FAMILIES, CountDistribution, Family, Poisson, family
                             geometric_mean)
 from .rounding import (
     HALF_UP,
-    MAX_TABLE_ENTRIES,
+    TAIL_EPS,
     RoundingScheme,
     round_count,
     rounded_logpmf,
+    rounded_pmf,
     sample_u,
     support_block,
 )
@@ -125,30 +126,22 @@ def _block_value(u, scheme: RoundingScheme, spec: Family, fixed) -> float:
     return value
 
 
-def _expectations(model: CountDistribution, prob_floor: float, cases) -> list[float]:
+def _expectations(model: CountDistribution, tail_eps: float, cases) -> list[float]:
     """Exact E[fn(U)] for each (fn, scheme) in cases, by one enumeration.
 
-    Sums fn(n*[k/n]) P(Y=k) over the latent k whose probability exceeds
-    ``prob_floor``, evaluating fn once per distinct support point.  A floor
-    that keeps no latent value raises ValueError rather than returning an
-    empty sum, and so does a window of more than ``MAX_TABLE_ENTRIES``
-    latent values.
+    Sums fn(n*[k/n]) P(Y=k) over the n = 1 table of ``rounded_pmf``, the
+    latent window between the tail_eps-quantiles of Y, evaluating fn once
+    per distinct support point.  The weights sum to 1 minus the table's
+    truncation mass; ``rounded_pmf`` refuses empty and oversized windows.
     """
-    lo, hi = model.support_window(min(prob_floor, 1e-12))
-    if hi - lo + 1 > MAX_TABLE_ENTRIES:
-        raise ValueError(f"enumerating {hi - lo + 1} latent values is over the limit "
-                         f"of {MAX_TABLE_ENTRIES}")
-    ks = np.arange(lo, hi + 1)
-    ps = model.pmf(ks)
-    keep = ps > prob_floor
-    if not keep.any():
-        raise ValueError(f"prob_floor={prob_floor} keeps no latent value")
-    ks, ps = ks[keep], ps[keep]
+    latent = rounded_pmf(model, RoundingScheme(1), tail_eps)
+    ks, ps = latent.support, latent.probs
     sums = []
     for fn, scheme in cases:
         us = scheme.n * round_count(ks, scheme.n, scheme.tie_rule)
-        values = {u: float(fn(int(u))) for u in np.unique(us)}
-        sums.append(float(np.dot([values[u] for u in us], ps)))
+        distinct, inverse = np.unique(us, return_inverse=True)
+        values = np.array([float(fn(u)) for u in distinct.tolist()])
+        sums.append(float(np.dot(values[inverse], ps)))
     return sums
 
 
@@ -160,21 +153,22 @@ def _squared_error(estimator: Callable[[int], float], true_param: float):
 
 
 def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
-              scheme: RoundingScheme, true_param: float, prob_floor: float = 1e-10) -> float:
+              scheme: RoundingScheme, true_param: float, tail_eps: float = TAIL_EPS) -> float:
     """Exact mean squared error of estimator(u(Y)) against the true parameter.
 
-    Sums (T(u(k)) - true)**2 P(Y=k) over all latent k whose probability
-    exceeds ``prob_floor``; with n = 1 this is the unrounded case T(k).
-    The estimator is evaluated once per distinct support point.
+    Sums (T(u(k)) - true)**2 P(Y=k) over the n = 1 table of ``rounded_pmf``,
+    the latent k between the tail_eps-quantiles of Y; with n = 1 this is the
+    unrounded case T(k).  The estimator is evaluated once per distinct
+    support point.
     """
-    return _expectations(model, prob_floor, [(_squared_error(estimator, true_param), scheme)])[0]
+    return _expectations(model, tail_eps, [(_squared_error(estimator, true_param), scheme)])[0]
 
 
 def expected_value_exact(fn: Callable[[int], float], model: CountDistribution,
-                         scheme: RoundingScheme, prob_floor: float = 1e-10) -> float:
-    """Exact E[fn(U)] by enumeration over the latent values whose
-    probability exceeds ``prob_floor``."""
-    return _expectations(model, prob_floor, [(fn, scheme)])[0]
+                         scheme: RoundingScheme, tail_eps: float = TAIL_EPS) -> float:
+    """Exact E[fn(U)] by enumeration over the latent values between the
+    tail_eps-quantiles of Y."""
+    return _expectations(model, tail_eps, [(fn, scheme)])[0]
 
 
 @dataclass
@@ -200,16 +194,16 @@ class MseRatioCurve:
 
 
 def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = None,
-                    nb_size: float | None = None, prob_floor: float = 1e-10) -> MseRatioCurve:
+                    nb_size: float | None = None, tail_eps: float = TAIL_EPS) -> MseRatioCurve:
     """MSE ratio of the numerically fitted parameter from rounded versus
     unrounded counts, over a parameter grid and a list of group counts.
 
-    For every latent value y with probability above ``prob_floor`` the
-    estimate is computed once per distinct support point and memoized
-    across the whole grid (the estimator map depends only on the group
-    count and the observed point, not on the true parameter).  A grid
-    point whose unrounded MSE is 0 leaves the ratio undefined and raises
-    ValueError.
+    Each grid point builds one latent table (``rounded_pmf`` at n = 1 and
+    tail_eps) and every group count's MSE sums over it.  The estimate is
+    computed once per distinct support point and memoized across the whole
+    grid (the estimator map depends only on the group count and the
+    observed point, not on the true parameter).  A grid point whose
+    unrounded MSE is 0 leaves the ratio undefined and raises ValueError.
     """
     param_grid = np.asarray(list(param_grid), dtype=float)
     n_list = tuple(int(n) for n in n_list)
@@ -217,22 +211,16 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
         raise ValueError("param_grid and n_list must be non-empty")
     spec = family_spec(family)
     fixed = spec.resolve(trials=trials, nb_size=nb_size)
-
-    fitted: dict[tuple[int, int], float] = {}
-
-    def fit(n: int, u: int) -> float:
-        if (n, u) not in fitted:
-            fitted[n, u] = _block_value(u, RoundingScheme(n, HALF_UP), spec, fixed)
-        return fitted[n, u]
-
+    schemes = {n: RoundingScheme(n, HALF_UP) for n in (1, *n_list)}
+    fits = {n: cache(partial(_block_value, scheme=scheme, spec=spec, fixed=fixed))
+            for n, scheme in schemes.items()}
     mse = np.empty((1 + len(n_list), param_grid.size))
     for j, param in enumerate(param_grid):
-        cases = [(_squared_error(partial(fit, n), param), RoundingScheme(n, HALF_UP))
-                 for n in (1, *n_list)]
-        mse[:, j] = _expectations(spec.make(float(param), fixed), prob_floor, cases)
+        cases = [(_squared_error(fits[n], param), schemes[n]) for n in (1, *n_list)]
+        mse[:, j] = _expectations(spec.make(float(param), fixed), tail_eps, cases)
         if mse[0, j] == 0.0:
             raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "
-                             f"prob_floor={prob_floor}, so the MSE ratio is undefined")
+                             f"tail_eps={tail_eps}, so the MSE ratio is undefined")
     mse_unrounded = np.repeat(mse[:1], len(n_list), axis=0)
     return MseRatioCurve(family=family, n_list=n_list, param_grid=param_grid,
                          mse_rounded=mse[1:], mse_unrounded=mse_unrounded,

@@ -238,10 +238,14 @@ class RoundedPmf:
 #: any array is allocated.
 MAX_TABLE_ENTRIES = 2**22
 
+#: Default probability each side of a table leaves out: the package's one truncation rule.
+TAIL_EPS = 1e-12
+
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: float = 1e-12) -> RoundedPmf:
+def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
+                tail_eps: float = TAIL_EPS) -> RoundedPmf:
     """Tabulate P(U = u) over the lattice points between the tail_eps-quantiles of Y.
 
     The table runs from the lattice point of the lower quantile to that of
@@ -260,19 +264,15 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme, tail_eps: floa
         raise ValueError(f"tail_eps={tail_eps} leaves an empty window: the lower quantile "
                          f"{y_lo} lies above the upper one {y_hi}, as it does for tail_eps "
                          f"above 0.5")
-    # The table holds at least (y_hi - y_lo) // n entries; refusing on that
-    # first keeps a window beyond int64 away from round_count.
-    if (y_hi - y_lo) // n > MAX_TABLE_ENTRIES:
-        raise ValueError(f"the latent window of {y_hi - y_lo + 1} values needs a table of U "
-                         f"over the limit of {MAX_TABLE_ENTRIES} entries")
-    # The block edges below are int64 and reach up to n past y_hi.
-    if y_hi + n > _INT64_MAX:
-        raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
-                         f"for blocks of n={n}")
+    # The window ends are Python ints, so a window beyond int64 rounds exactly.
     v_lo, v_hi = round_count(y_lo, n, scheme.tie_rule), round_count(y_hi, n, scheme.tie_rule)
     if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
         raise ValueError(f"the table of U would hold {v_hi - v_lo + 1} entries, "
                          f"over the limit of {MAX_TABLE_ENTRIES}")
+    # The block edges below are int64 and reach up to n past y_hi.
+    if y_hi + n > _INT64_MAX:
+        raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
+                         f"for blocks of n={n}")
     lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
     # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
     # mean come first and take the cdf, the rest the survival function.

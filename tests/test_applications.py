@@ -52,6 +52,11 @@ class TestExcessPointEstimates:
         with pytest.raises(ValueError):
             excess_point_estimates(3, 4, 2, 4)
 
+    @pytest.mark.parametrize("n1, n2", [(0, 1), (1, 0), (-2, 3)])
+    def test_group_counts_below_one_rejected(self, n1, n2):
+        with pytest.raises(ValueError, match="n1 and n2"):
+            excess_point_estimates(0, 0, n1, n2)
+
 
 class TestExcessMoments:
     def test_no_rounding_reference(self):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 import roundedcounts
 from roundedcounts import Poisson, RoundingScheme, rounded_moments_poisson, rounded_pmf
+from roundedcounts import cli
 from roundedcounts.cli import build_parser, main, parse_float_list, parse_int_list
+from roundedcounts.rounding import MAX_TABLE_ENTRIES, TAIL_EPS
 from roundedcounts.tableio import read_csv
 
 
@@ -32,6 +35,35 @@ def test_grid_parsing():
             parse_float_list(text)
     with pytest.raises(argparse.ArgumentTypeError):
         parse_int_list(",,")
+
+
+@pytest.mark.parametrize("text", ["0:inf:1", "-inf:1:1", "0:1:inf", "nan:1:0.5", "0:nan:0.5",
+                                  "0:1:nan"])
+def test_non_finite_grid_range_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+        parse_float_list(text)
+
+
+@pytest.mark.parametrize("text", ["0:1:1e-12", "0:1e308:1e-308", "-1e308:1e308:1",
+                                  f"1:{MAX_TABLE_ENTRIES + 1}:1"])
+def test_oversized_grid_range_is_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="more points than the limit"):
+        parse_float_list(text)
+
+
+def test_grid_range_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 10)
+    assert len(parse_float_list("1:10:1")) == 10
+    with pytest.raises(argparse.ArgumentTypeError, match="more points than the limit, 10"):
+        parse_float_list("1:11:1")
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:1:1e-12"])
+def test_bad_grid_range_is_usage_error(capsys, grid):
+    code, out, err = run_cli(capsys, "mse-exact", "--param-grid", grid, "--n-list", "1")
+    assert code == 2
+    assert out == ""
+    assert "--param-grid" in err
 
 
 def test_pmf_matches_library(capsys):
@@ -141,8 +173,7 @@ def test_mse_ratio_header_reproduces_a_family(capsys):
                              "--n-list", config["n_list"],
                              "--param-grid", config["param_grid_binomial"],
                              "--trials", str(config["trials"]),
-                             "--nb-size", str(config["nb_size"]),
-                             "--prob-floor", str(config["prob_floor"]))
+                             "--nb-size", str(config["nb_size"]))
     assert code == 0
 
     def binomial_rows(text):
@@ -152,21 +183,30 @@ def test_mse_ratio_header_reproduces_a_family(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["mse-exact", "--param-grid", "1", "--n-list", "3", "--prob-floor", "1"],
-    ["mse-ratio", "--dist", "poisson", "--param-grid", "1", "--n-list", "1,3",
-     "--prob-floor", "0.9"],
+    ["mse-exact", "--param-grid", "1", "--n-list", "3"],
+    ["mse-ratio", "--dist", "poisson", "--param-grid", "1", "--n-list", "1,3"],
 ])
-def test_prob_floor_keeping_no_value_is_usage_error(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_prob_floor_is_an_unknown_flag(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--prob-floor", "1")
     assert code == 2
     assert out == ""
-    assert "prob_floor" in json.loads(err.strip())["error"]
+    assert "unrecognized arguments: --prob-floor" in err
+
+
+def test_exact_headers_record_tail_eps(capsys):
+    for argv in (["mse-exact", "--param-grid", "1", "--n-list", "3"],
+                 ["mse-ratio", "--dist", "poisson", "--param-grid", "1", "--n-list", "3"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        config, _, _ = read_csv(io.StringIO(out))
+        assert config["tail_eps"] == TAIL_EPS
+        assert "prob_floor" not in config
 
 
 def test_zero_unrounded_mse_is_usage_error(capsys):
-    # The floor keeps only y=1, whose n=1 fit is the true 0.5.
+    # All the mass sits at y=2, whose n=1 fit is the true probability 1.
     code, out, err = run_cli(capsys, "mse-ratio", "--dist", "binomial", "--trials", "2",
-                             "--param-grid", "0.5", "--n-list", "1,2", "--prob-floor", "0.3")
+                             "--param-grid", "1.0", "--n-list", "1,2")
     assert code == 2
     assert out == ""
     assert "unrounded MSE" in json.loads(err.strip())["error"]
@@ -296,6 +336,35 @@ def test_seed_env_override(capsys, monkeypatch):
     assert code == 0
     config, _, _ = read_csv(io.StringIO(out))
     assert config["seed"] == 777
+
+
+@pytest.mark.parametrize("estimators", ["u,bogus", "u,", "closed_mle"])
+def test_unknown_mse_sim_estimator_is_usage_error(capsys, estimators):
+    code, out, err = run_cli(capsys, "mse-sim", "--param-grid", "1", "--n-list", "2",
+                             "--reps", "10", "--estimators", estimators)
+    assert code == 2
+    assert out == ""
+    assert "unknown estimator" in err
+
+
+def test_inapplicable_mse_sim_estimator_is_a_flagged_row(capsys):
+    code, out, _ = run_cli(capsys, "mse-sim", "--dist", "binomial", "--param-grid", "0.5",
+                           "--n-list", "2", "--trials-per-measurement", "3", "--reps", "10",
+                           "--estimators", "u,closed-mle")
+    assert code == 0
+    _, columns, rows = read_csv(io.StringIO(out))
+    flagged = dict(zip(columns, rows[1]))
+    assert flagged["estimator"] == "closed-mle"
+    assert math.isnan(flagged["mse"]) and flagged["failures"] == 10
+    assert "Poisson" in flagged["error"]
+
+
+def test_zero_group_count_in_excess_deaths_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "excess-deaths", "--u1", "0", "--u2", "0",
+                             "--n1", "0", "--n2", "1")
+    assert code == 2
+    assert out == ""
+    assert "n1 and n2" in json.loads(err.strip())["error"]
 
 
 def test_reruns_are_byte_identical(tmp_path):

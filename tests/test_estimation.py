@@ -29,6 +29,7 @@ from roundedcounts import (
 from roundedcounts import estimation
 from roundedcounts.distributions import family_spec
 from roundedcounts.estimation import MC_BLOCK, _block_value, _closed_value, _estimator_fn
+from roundedcounts.rounding import TAIL_EPS
 
 
 class TestClosedForm:
@@ -299,17 +300,17 @@ class TestExactMse:
         assert mse_u == pytest.approx(6.25, abs=1e-4)
         assert mse_mle > 8 * mse_u
 
-    def test_prob_floor_keeping_no_value_is_refused(self):
+    def test_empty_window_is_refused(self):
         model, scheme = Poisson(1.0), RoundingScheme(3)
-        with pytest.raises(ValueError, match="prob_floor"):
-            exact_mse(float, model, scheme, 1.0, prob_floor=1.0)
-        with pytest.raises(ValueError, match="prob_floor"):
+        with pytest.raises(ValueError, match="tail_eps"):
+            exact_mse(float, model, scheme, 1.0, tail_eps=0.9)
+        with pytest.raises(ValueError, match="tail_eps"):
             expected_value_exact(float, model, scheme, 0.9)
-        with pytest.raises(ValueError, match="prob_floor"):
-            mse_ratio_curve("poisson", [1.0], [1, 3], prob_floor=0.9)
+        with pytest.raises(ValueError, match="tail_eps"):
+            mse_ratio_curve("poisson", [1.0], [1, 3], tail_eps=0.9)
 
     def test_oversized_enumeration_is_refused(self):
-        with pytest.raises(ValueError, match="latent values"):
+        with pytest.raises(ValueError, match="over the limit"):
             exact_mse(float, Poisson(1e14), RoundingScheme(3), 1e14)
 
     def test_expected_value_matches_moments(self):
@@ -317,6 +318,41 @@ class TestExactMse:
         mean = expected_value_exact(float, model, scheme, 1e-13)
         table = rounded_pmf(model, scheme, 1e-13)
         assert mean == pytest.approx(table.mean(), abs=1e-10)
+
+
+_LARGE_MODELS = [*(Poisson(theta) for theta in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)),
+                 Binomial(10**9, 0.5), Binomial(3000, 0.01), NegativeBinomial(0.05, 1e-4)]
+
+
+class TestExactExpectationAccuracy:
+    """The expectations weight each latent value by the n = 1 table of
+    ``rounded_pmf``, whose entries are differences of the accurate tails."""
+
+    @pytest.mark.parametrize("model", [
+        *_LARGE_MODELS,
+        pytest.param(Poisson(1e7), marks=pytest.mark.xfail(
+            strict=True, reason="scipy.special.pdtrc is inaccurate at large means")),
+    ], ids=repr)
+    def test_identity_mse_is_the_variance(self, model):
+        # The negative binomial's heavy upper tail beyond the 1e-12 quantile
+        # holds 1e-8 of its variance, so it is enumerated further out.
+        tail_eps = 1e-15 if model.kind == "negbinomial" else TAIL_EPS
+        mse = exact_mse(float, model, RoundingScheme(1), model.mean(), tail_eps)
+        assert mse == pytest.approx(model.variance(), rel=1e-9)
+
+    @pytest.mark.parametrize("model", _LARGE_MODELS, ids=repr)
+    def test_expected_one_is_the_tabulated_mass(self, model, monkeypatch):
+        built = []
+
+        def recording_rounded_pmf(*args):
+            built.append(rounded_pmf(*args))
+            return built[-1]
+
+        monkeypatch.setattr(estimation, "rounded_pmf", recording_rounded_pmf)
+        one = expected_value_exact(lambda u: 1.0, model, RoundingScheme(3))
+        (latent,) = built
+        assert latent.n == 1
+        assert one == pytest.approx(1.0 - latent.truncation_mass, abs=1e-12)
 
 
 class TestMseRatio:
@@ -330,7 +366,8 @@ class TestMseRatio:
 
     def test_zero_unrounded_mse_is_refused(self):
         with pytest.raises(ValueError, match="unrounded MSE"):
-            mse_ratio_curve("binomial", [0.5], [1, 2], trials=2, prob_floor=0.3)
+            # The window is {1}, whose n=1 fit is the true 0.5.
+            mse_ratio_curve("binomial", [0.5], [1, 2], trials=2, tail_eps=0.3)
 
     def test_poisson_rounding_costly_for_small_rates(self):
         curve = mse_ratio_curve("poisson", [1.0, 1.5, 2.0, 2.5], [10])
