@@ -50,7 +50,8 @@ from .estimation import (
     _ESTIMATOR_NAMES,
     NoMaximumError,
     _estimator_fn,
-    exact_mse,
+    _expectations,
+    _squared_error,
     mse_ratio_curve,
     numeric_mle,
     poisson_mle_closed,
@@ -370,8 +371,8 @@ def _cmd_mse_exact(args, seed):
             model = spec.make(param, fixed, n)
             target = getattr(model, spec.fitted)
             scheme = RoundingScheme(n, args.tie_rule)
-            fn = _estimator_fn(args.estimator, model, scheme)
-            mse = exact_mse(fn, model, scheme, target)
+            loss = _squared_error(_estimator_fn(args.estimator, model, scheme), target)
+            mse = _expectations(model, TAIL_EPS, [(loss, scheme)])[0]
             rows.append([args.dist, param, n, args.estimator, mse])
     config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
               "n_list": ",".join(map(str, args.n_list)), "estimator": args.estimator,

@@ -320,35 +320,32 @@ class NegativeBinomial(CountDistribution):
         return rng.negative_binomial(self.size, self.prob, size=size)
 
 
-def geometric_mean(factors) -> float:
-    """Geometric mean of positive values, as the exponential of a mean of logs."""
-    return float(np.exp(np.mean(np.log(factors))))
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """Mean of each row, summed as ``np.mean`` sums one row on its own."""
+    return np.add.reduce(x, axis=1) / x.shape[1]
 
 
-# Block maximum-likelihood estimates of P(lo <= Y <= hi) (see numeric_mle);
-# None means the block has probability 0 for every parameter value.
+# Block MLEs of P(lo <= Y <= hi) (see numeric_mle) for each row lo..hi of k, NaN where it
+# is 0 for every parameter; a row from 0 puts an infinite term in the mean: the boundary.
 
-def _poisson_block_mle(lo: int, hi: int, _fixed) -> float:
-    return 0.0 if lo == 0 else geometric_mean(np.arange(lo, hi + 1, dtype=float))
-
-
-def _binomial_block_mle(lo: int, hi: int, trials: int) -> float | None:
-    if lo > trials:
-        return None
-    if lo == 0:
-        return 0.0
-    if hi >= trials:
-        return 1.0
-    k = np.arange(lo, hi + 1, dtype=float)
-    return float(special.expit(np.mean(np.log(k) - np.log(trials - k))))
+def _poisson_block_mle(k: np.ndarray, _fixed) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.exp(_row_mean(np.log(k)))
 
 
-def _negbinomial_block_mle(lo: int, hi: int, size: float) -> float:
-    if lo == 0:
-        return 1.0
+def _binomial_block_mle(k: np.ndarray, trials: int) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = special.expit(_row_mean(np.log(k) - np.log(trials - k)))
+    # A NaN row holds a value above trials or both 0 and trials: no maximum if it
+    # starts above trials, else the supremum p = 0 for a row from 0 and p = 1 otherwise.
+    lo = k[:, 0]
+    return np.where(np.isnan(p) & (lo <= trials), lo > 0, p)
+
+
+def _negbinomial_block_mle(k: np.ndarray, size: float) -> np.ndarray:
     # log(1 - p) is the mean of log(k / (k + size)) = -log1p(size / k).
-    k = np.arange(lo, hi + 1, dtype=float)
-    return float(-np.expm1(-np.mean(np.log1p(size / k))))
+    with np.errstate(divide="ignore"):
+        return -np.expm1(-_row_mean(np.log1p(size / k)))
 
 
 @dataclass(frozen=True)
@@ -360,9 +357,10 @@ class Family:
     trial count scale with n; the negative binomial size is the total's).
     ``fixed`` is the keyword of the parameter held fixed and ``fixed_attr``
     the model attribute holding it; ``fitted`` is the model attribute that
-    is estimated, which is also the target of its MSE.  ``block_mle(lo, hi,
-    fixed)`` maximizes P(lo <= Y <= hi); ``plug_in(u, fixed)`` treats the
-    rounded total as the latent count.  Only Poisson has the product form.
+    is estimated, which is also the target of its MSE.  ``block_mle(k, fixed)``
+    maximizes P(lo <= Y <= hi) for each row lo..hi of the 2-D float array k;
+    ``plug_in(u, fixed)`` treats an array of rounded totals as latent counts.
+    Only Poisson has the product form.
     ``ratio_grid`` (grid text, ``start:stop:step``) and ``ratio_fixed`` are
     the family's default parameter grid and fixed value for the MSE ratio.
     """
@@ -370,8 +368,8 @@ class Family:
     name: str
     make: Callable[..., CountDistribution]
     fitted: str
-    block_mle: Callable[[int, int, float | None], float | None]
-    plug_in: Callable[[int, float | None], float]
+    block_mle: Callable[[np.ndarray, float | None], np.ndarray]
+    plug_in: Callable[[np.ndarray, float | None], np.ndarray]
     ratio_grid: str
     fixed: str | None = None
     fixed_attr: str | None = None
@@ -394,7 +392,7 @@ class Family:
 FAMILIES: dict[str, Family] = {
     family.name: family for family in (
         Family("poisson", lambda theta, _, n=1: Poisson(n * theta), fitted="theta",
-               block_mle=_poisson_block_mle, plug_in=lambda u, _: float(u),
+               block_mle=_poisson_block_mle, plug_in=lambda u, _: np.asarray(u, dtype=float),
                ratio_grid="0.2:10:0.2", product_form=True),
         Family("binomial", lambda prob, trials, n=1: Binomial(trials * n, prob), fitted="prob",
                block_mle=_binomial_block_mle, plug_in=lambda u, trials: u / trials,

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .distributions import (FAMILIES, CountDistribution, Family, Poisson, family_spec,
-                            geometric_mean)
+from .distributions import FAMILIES, CountDistribution, Poisson, family_spec
 from .rounding import (
     HALF_UP,
     TAIL_EPS,
     RoundingScheme,
+    _block_bounds,
     round_count,
     rounded_logpmf,
     rounded_pmf,
@@ -77,17 +76,17 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     reference estimator whose large-sample mean the asymptotic formulas
     describe.
     """
-    value = _closed_value(u, n)
-    loglik = rounded_logpmf(Poisson(value), RoundingScheme(int(n)), u) if value > 0 else 0.0
+    scheme = RoundingScheme(int(n), HALF_UP)
+    block = support_block(u, scheme)
+    lo, hi = _positive(block.start, block.stop - 1)
+    value = float(FAMILIES["poisson"].block_mle(np.arange(lo, hi + 1, dtype=float)[None], None)[0])
+    loglik = rounded_logpmf(Poisson(value), scheme, u) if value > 0 else 0.0
     return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik)
 
 
-def _closed_value(u, n: int) -> float:
-    """The product-form estimate of :func:`poisson_mle_closed` alone."""
-    block = support_block(u, RoundingScheme(int(n), HALF_UP))
-    if block.stop <= 1:
-        return 0.0
-    return geometric_mean(np.arange(max(block.start, 1), block.stop, dtype=float))
+def _positive(lo, hi):
+    """The positive values of the blocks lo..hi, or the block {0} itself."""
+    return np.maximum(lo, np.minimum(hi, 1)), hi
 
 
 def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
@@ -111,28 +110,37 @@ def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
     """
     spec = family_spec(family)
     fixed = spec.resolve(trials=trials, nb_size=nb_size)
-    value = _block_value(u, scheme, spec, fixed)
+    block = support_block(u, scheme)
+    value = float(spec.block_mle(np.arange(block.start, block.stop, dtype=float)[None], fixed)[0])
+    if math.isnan(value):
+        raise _no_maximum(u)
     # A zero estimate is the model concentrated at 0, which lies in the block.
     loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
     return Estimate(value=value, method="numeric", loglik_at_optimum=loglik)
 
 
-def _block_value(u, scheme: RoundingScheme, spec: Family, fixed) -> float:
-    """The estimate of :func:`numeric_mle` alone, for a resolved family."""
-    block = support_block(u, scheme)
-    value = spec.block_mle(block.start, block.stop - 1, fixed)
-    if value is None:
-        raise NoMaximumError(f"binned likelihood of u={u} is zero for every parameter value")
-    return value
+def _no_maximum(u) -> NoMaximumError:
+    return NoMaximumError(f"binned likelihood of u={u} is zero for every parameter value")
+
+
+def _block_estimates(block_mle, lo: np.ndarray, hi: np.ndarray, fixed) -> np.ndarray:
+    """block_mle of each block lo..hi, called once per length (padding would alter the sums)."""
+    out = np.empty(len(lo))
+    length = hi - lo + 1
+    for m in set(length.tolist()):
+        rows = length == m
+        out[rows] = block_mle(lo[rows, None] + np.arange(m, dtype=float), fixed)
+    return out
 
 
 def _expectations(model: CountDistribution, tail_eps: float, cases) -> list[float]:
     """Exact E[fn(U)] for each (fn, scheme) in cases, by one enumeration.
 
     Sums fn(n*[k/n]) P(Y=k) over the n = 1 table of ``rounded_pmf``, the
-    latent window between the tail_eps-quantiles of Y, evaluating fn once
-    per distinct support point.  The weights sum to 1 minus the table's
-    truncation mass; ``rounded_pmf`` refuses empty and oversized windows.
+    latent window between the tail_eps-quantiles of Y; fn maps the sorted
+    array of distinct support points to their values and is called once.
+    The weights sum to 1 minus the table's truncation mass; ``rounded_pmf``
+    refuses empty and oversized windows.
     """
     latent = rounded_pmf(model, RoundingScheme(1), tail_eps)
     ks, ps = latent.support, latent.probs
@@ -140,14 +148,18 @@ def _expectations(model: CountDistribution, tail_eps: float, cases) -> list[floa
     for fn, scheme in cases:
         us = scheme.n * round_count(ks, scheme.n, scheme.tie_rule)
         distinct, inverse = np.unique(us, return_inverse=True)
-        values = np.array([float(fn(u)) for u in distinct.tolist()])
-        sums.append(float(np.dot(values[inverse], ps)))
+        sums.append(float(np.dot(fn(distinct)[inverse], ps)))
     return sums
 
 
-def _squared_error(estimator: Callable[[int], float], true_param: float):
-    def loss(u: int) -> float:
-        err = float(estimator(u)) - true_param
+def _per_total(fn: Callable[[int], float]):
+    """A function of one total as a function of an array of totals."""
+    return lambda us: np.array([float(fn(u)) for u in us.tolist()])
+
+
+def _squared_error(estimates, true_param: float):
+    def loss(us: np.ndarray) -> np.ndarray:
+        err = estimates(us) - true_param
         return err * err
     return loss
 
@@ -161,14 +173,15 @@ def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
     unrounded case T(k).  The estimator is evaluated once per distinct
     support point.
     """
-    return _expectations(model, tail_eps, [(_squared_error(estimator, true_param), scheme)])[0]
+    loss = _squared_error(_per_total(estimator), true_param)
+    return _expectations(model, tail_eps, [(loss, scheme)])[0]
 
 
 def expected_value_exact(fn: Callable[[int], float], model: CountDistribution,
                          scheme: RoundingScheme, tail_eps: float = TAIL_EPS) -> float:
     """Exact E[fn(U)] by enumeration over the latent values between the
     tail_eps-quantiles of Y."""
-    return _expectations(model, tail_eps, [(fn, scheme)])[0]
+    return _expectations(model, tail_eps, [(_per_total(fn), scheme)])[0]
 
 
 @dataclass
@@ -199,10 +212,8 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     unrounded counts, over a parameter grid and a list of group counts.
 
     Each grid point builds one latent table (``rounded_pmf`` at n = 1 and
-    tail_eps) and every group count's MSE sums over it.  The estimate is
-    computed once per distinct support point and memoized across the whole
-    grid (the estimator map depends only on the group count and the
-    observed point, not on the true parameter).  A grid point whose
+    tail_eps) and every group count's MSE sums over it, with the estimator
+    called once on the table's distinct rounded totals.  A grid point whose
     unrounded MSE is 0 leaves the ratio undefined and raises ValueError.
     """
     param_grid = np.asarray(list(param_grid), dtype=float)
@@ -211,13 +222,13 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
         raise ValueError("param_grid and n_list must be non-empty")
     spec = family_spec(family)
     fixed = spec.resolve(trials=trials, nb_size=nb_size)
-    schemes = {n: RoundingScheme(n, HALF_UP) for n in (1, *n_list)}
-    fits = {n: cache(partial(_block_value, scheme=scheme, spec=spec, fixed=fixed))
-            for n, scheme in schemes.items()}
+    schemes = [RoundingScheme(n, HALF_UP) for n in (1, *n_list)]
     mse = np.empty((1 + len(n_list), param_grid.size))
     for j, param in enumerate(param_grid):
-        cases = [(_squared_error(fits[n], param), schemes[n]) for n in (1, *n_list)]
-        mse[:, j] = _expectations(spec.make(float(param), fixed), tail_eps, cases)
+        model = spec.make(float(param), fixed)
+        cases = [(_squared_error(_estimator_fn("numeric-mle", model, scheme), param), scheme)
+                 for scheme in schemes]
+        mse[:, j] = _expectations(model, tail_eps, cases)
         if mse[0, j] == 0.0:
             raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "
                              f"tail_eps={tail_eps}, so the MSE ratio is undefined")
@@ -247,16 +258,20 @@ MC_BLOCK = 4096
 
 
 def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
+    """The named estimator, mapping a sorted array of distinct totals to their
+    estimates (NaN where the binned likelihood is zero for every parameter)."""
     spec = FAMILIES[model.kind]
     fixed = spec.fixed_of(model)
     if name == "u":
-        return lambda u: spec.plug_in(u, fixed)
+        return lambda us: spec.plug_in(us, fixed)
     if name == "closed-mle":
         if not spec.product_form:
             raise ValueError("closed-form estimator is only available for the Poisson family")
-        return lambda u: _closed_value(u, scheme.n)
+        return lambda us: _block_estimates(
+            spec.block_mle, *_positive(*_block_bounds(scheme.n, HALF_UP, us // scheme.n)), None)
     if name == "numeric-mle":
-        return lambda u: _block_value(u, scheme, spec, fixed)
+        return lambda us: _block_estimates(
+            spec.block_mle, *_block_bounds(scheme.n, scheme.tie_rule, us // scheme.n), fixed)
     raise ValueError(f"estimator must be one of {_ESTIMATOR_NAMES}, got {name!r}")
 
 
@@ -269,12 +284,12 @@ def monte_carlo_mse(model: CountDistribution, scheme: RoundingScheme, estimators
     the substream (seed, stream_key + (b,)), so the result depends only on
     (seed, stream_key, reps) and is bitwise reproducible regardless of the
     order in which blocks are evaluated.  The rounded totals are tallied by
-    distinct value, each estimator is evaluated once per distinct total,
-    and the MSE and its standard error are count-weighted sums; memory
-    grows with the block and the number of distinct totals, not with reps.
-    An estimator that fails on any drawn total yields a flagged result (NaN
-    MSE, the number of replicates it failed on and the first error message)
-    rather than being dropped.
+    distinct value, each estimator is called once on the sorted distinct
+    totals, and the MSE and its standard error are count-weighted sums;
+    memory grows with the block and the number of distinct totals, not with
+    reps.  An estimator that fails on any drawn total yields a flagged result
+    (NaN MSE, the number of replicates it failed on and the error of the
+    smallest such total) rather than being dropped.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -288,26 +303,20 @@ def monte_carlo_mse(model: CountDistribution, scheme: RoundingScheme, estimators
         values, counts = np.unique(draws, return_counts=True)
         for u, count in zip(values.tolist(), counts.tolist()):
             tally[u] = tally.get(u, 0) + count
-    us = sorted(tally)
-    weights = np.array([tally[u] for u in us], dtype=float)
+    us = np.array(sorted(tally))
+    weights = np.array([tally[u] for u in us.tolist()], dtype=float)
 
     results = []
     for name in estimators:
-        failures, message = 0, None
         try:
-            fn = _estimator_fn(name, model, scheme)
+            loss = _squared_error(_estimator_fn(name, model, scheme), target)
         except ValueError as exc:
             failures, message = reps, str(exc)
         else:
-            sq = np.empty(len(us))
-            for i, u in enumerate(us):
-                try:
-                    err = float(fn(u)) - target
-                    sq[i] = err * err
-                except Exception as exc:  # noqa: BLE001 - flagged, not dropped
-                    failures += tally[u]
-                    if message is None:
-                        message = str(exc)
+            sq = loss(us)
+            failed = np.isnan(sq)
+            failures = int(weights[failed].sum())
+            message = str(_no_maximum(us[failed][0])) if failures else None
         if failures:
             results.append(MonteCarloResult(estimator=name, mse=float("nan"),
                                             mc_standard_error=float("nan"), reps=reps,

@@ -222,9 +222,9 @@ class RoundedPmf:
         return float(np.dot(self.support.astype(float), self.probs))
 
     def variance(self) -> float:
-        m = self.mean()
-        second = float(np.dot(self.support.astype(float) ** 2, self.probs))
-        return second - m * m
+        """Sum of squared deviations from ``mean()``: E[U**2] - E[U]**2 cancels at large means."""
+        dev = self.support - self.mean()
+        return float(np.dot(dev * dev, self.probs))
 
     def pgf(self, s) -> complex:
         """Sum of P(U=u) s**u over the tabulated support; the series fallback
@@ -409,11 +409,7 @@ def rounded_moments_poisson(theta: float, n: int) -> MomentReport:
     generating function, exp(theta*(1/omega**j - 1)), whose real exponent
     part is non-positive, so the evaluation cannot overflow for large theta.
     """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return rounded_moments_series(Poisson(theta), RoundingScheme(int(n)))
+    return rounded_moments_series(Poisson(theta), RoundingScheme(n))
 
 
 def rounded_moments_binomial(trials: int, prob: float, n: int) -> MomentReport:
@@ -425,15 +421,10 @@ def rounded_moments_binomial(trials: int, prob: float, n: int) -> MomentReport:
     whose powers are taken through the complex log to stay finite for very
     large trial counts.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if trials < 1 or int(trials) != trials:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
+    scheme = RoundingScheme(n)
     if trials % n != 0:
         raise ValueError(f"trials={trials} must be a multiple of n={n}")
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"prob must lie in [0, 1], got {prob}")
-    return rounded_moments_series(Binomial(trials, prob), RoundingScheme(int(n)))
+    return rounded_moments_series(Binomial(trials, prob), scheme)
 
 
 def sample_u(model: CountDistribution, scheme: RoundingScheme, rng: np.random.Generator, size=None):

@@ -28,7 +28,7 @@ from roundedcounts import (
 )
 from roundedcounts import estimation
 from roundedcounts.distributions import family_spec
-from roundedcounts.estimation import MC_BLOCK, _block_value, _closed_value, _estimator_fn
+from roundedcounts.estimation import MC_BLOCK, _estimator_fn
 from roundedcounts.rounding import TAIL_EPS
 
 
@@ -202,9 +202,56 @@ class TestClosedFormMle:
             mse_ratio_curve(family, [0.3], [1, 2])
 
 
+@st.composite
+def estimator_totals(draw):
+    """A family with its fixed parameter, a scheme and a sorted array of
+    distinct totals up to 3e9, with 0, the smallest totals and (binomial)
+    the totals around the top of the support drawn often."""
+    family = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
+    n = draw(st.integers(1, 1000))
+    scheme = RoundingScheme(n, draw(st.sampled_from([HALF_UP, HALF_EVEN])))
+    top = 3 * 10**9 // n
+    vs = st.one_of(st.integers(0, 3), st.integers(0, top))
+    fixed = None
+    if family == "binomial":
+        fixed = draw(st.one_of(st.integers(1, 5 * n), st.integers(1, 3 * 10**9)))
+        near = round_count(fixed, n)
+        vs = st.one_of(vs, st.integers(max(near - 2, 0), near + 2))
+    elif family == "negbinomial":
+        fixed = draw(st.floats(0.01, 1e6))
+    totals = draw(st.lists(vs, min_size=1, max_size=12, unique=True))
+    return family, fixed, scheme, n * np.array(sorted(totals), dtype=np.int64)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit (NaN matches NaN)."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestValueOnly:
-    """The estimate alone, as the MSE paths compute it, against the public
-    fits that also report the log-likelihood."""
+    """The estimates of the MSE paths, one array call per set of totals,
+    against the public fits that also report the log-likelihood."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(estimator_totals())
+    def test_array_estimates_are_the_public_fits(self, case):
+        family, fixed, scheme, us = case
+        spec = family_spec(family)
+        model = spec.make(0.5, fixed)
+        kwargs = {spec.fixed: fixed} if spec.fixed else {}
+        numeric = _estimator_fn("numeric-mle", model, scheme)(us)
+        assert numeric.shape == us.shape
+        for u, value in zip(us.tolist(), numeric):
+            try:
+                want = numeric_mle(u, scheme, family, **kwargs).value
+            except NoMaximumError:
+                assert math.isnan(value), u
+                continue
+            assert same_float(value, want), (u, value, want)
+        if spec.product_form:
+            closed = _estimator_fn("closed-mle", model, scheme)(us)
+            for u, value in zip(us.tolist(), closed):
+                assert same_float(value, poisson_mle_closed(u, scheme.n).value), u
 
     @pytest.mark.parametrize("tie_rule", [HALF_UP, HALF_EVEN])
     @pytest.mark.parametrize("family, fixed", [("poisson", None), ("binomial", 20),
@@ -212,18 +259,19 @@ class TestValueOnly:
     def test_block_value_is_the_numeric_mle_value(self, family, fixed, tie_rule):
         spec = family_spec(family)
         kwargs = {spec.fixed: fixed} if spec.fixed else {}
+        model = spec.make(0.5, fixed)
         kinds = set()
         for n in (1, 2, 3, 4, 7):
             scheme = RoundingScheme(n, tie_rule)
-            for u in range(0, 13 * n, n):
+            us = np.arange(0, 13 * n, n)
+            values = _estimator_fn("numeric-mle", model, scheme)(us)
+            for u, value in zip(us.tolist(), values.tolist()):
                 block = support_block(u, scheme)
                 if family == "binomial" and block.start > fixed:
                     kinds.add("above")
-                    with pytest.raises(NoMaximumError) as public:
+                    with pytest.raises(NoMaximumError):
                         numeric_mle(u, scheme, family, **kwargs)
-                    with pytest.raises(NoMaximumError) as private:
-                        _block_value(u, scheme, spec, fixed)
-                    assert str(private.value) == str(public.value)
+                    assert math.isnan(value), (n, u)
                     continue
                 if block.start == 0:
                     kinds.add("zero")
@@ -231,17 +279,20 @@ class TestValueOnly:
                     kinds.add("top")
                 else:
                     kinds.add("interior")
-                assert _block_value(u, scheme, spec, fixed) == \
-                    numeric_mle(u, scheme, family, **kwargs).value, (n, u)
+                assert value == numeric_mle(u, scheme, family, **kwargs).value, (n, u)
         assert kinds == ({"zero", "top", "interior", "above"} if family == "binomial"
                          else {"zero", "interior"})
 
     def test_closed_value_is_the_product_form_value(self):
         for n in range(1, 13):
-            for v in range(0, 31):
-                assert _closed_value(v * n, n) == poisson_mle_closed(v * n, n).value, (n, v)
+            for tie_rule in (HALF_UP, HALF_EVEN):
+                scheme = RoundingScheme(n, tie_rule)
+                us = np.arange(0, 31) * n
+                values = _estimator_fn("closed-mle", Poisson(1.0), scheme)(us)
+                for u, value in zip(us.tolist(), values.tolist()):
+                    assert value == poisson_mle_closed(u, n).value, (n, tie_rule, u)
         with pytest.raises(ValueError):
-            _closed_value(4, 3)
+            poisson_mle_closed(4, 3)
 
     def test_block_above_trials_is_flagged_by_monte_carlo(self, monkeypatch):
         # Draws never leave the support, so the totals are planted: with
@@ -256,6 +307,13 @@ class TestValueOnly:
         assert (flagged.failures, flagged.error) == (4, str(first.value))
         assert math.isnan(flagged.mse)
         assert {r.estimator: r for r in res}["u"].failures == 0
+
+
+def estimator_exact_mse(name, model, scheme, true_param):
+    """The exact MSE of a named estimator through its array function, as the
+    mse-exact command computes it."""
+    loss = estimation._squared_error(_estimator_fn(name, model, scheme), true_param)
+    return estimation._expectations(model, TAIL_EPS, [(loss, scheme)])[0]
 
 
 class TestExactMse:
@@ -284,8 +342,7 @@ class TestExactMse:
                 prob = float(np.round(rng.uniform(0.05, 0.95), 3))
                 model, target = Binomial(30, prob), prob
             scheme = RoundingScheme(n)
-            fn = _estimator_fn("u", model, scheme)
-            exact = exact_mse(fn, model, scheme, target)
+            exact = estimator_exact_mse("u", model, scheme, target)
             mc = monte_carlo_mse(model, scheme, ["u"], 20_000, seed=1000 + case)[0]
             slack = 4 * mc.mc_standard_error + 1e-9
             assert abs(mc.mse - exact) < slack, (case, model, n)
@@ -295,7 +352,7 @@ class TestExactMse:
         # carries the full squared rate, while the product-form estimate
         # stays near its n-dependent plateau
         model, scheme = Poisson(2.5), RoundingScheme(50)  # lam = 0.05
-        mse_u = exact_mse(_estimator_fn("u", model, scheme), model, scheme, 2.5)
+        mse_u = estimator_exact_mse("u", model, scheme, 2.5)
         mse_mle = exact_mse(lambda u: poisson_mle_closed(u, 50).value, model, scheme, 2.5)
         assert mse_u == pytest.approx(6.25, abs=1e-4)
         assert mse_mle > 8 * mse_u
@@ -438,24 +495,24 @@ class TestMonteCarlo:
         res = monte_carlo_mse(model, scheme, names, reps, seed=12, stream_key=(3,))
         us = self.block_draws(model, scheme, reps, 12, (3,))
         assert len(us) == reps and len(np.unique(us)) > 5
+        distinct, inverse = np.unique(us, return_inverse=True)
         for name, r in zip(names, res):
-            fn = _estimator_fn(name, model, scheme)
-            sq = np.array([(fn(int(u)) - 6.0) ** 2 for u in us])
+            sq = (_estimator_fn(name, model, scheme)(distinct)[inverse] - 6.0) ** 2
             assert r.mse == pytest.approx(np.mean(sq), rel=1e-12)
             assert r.mc_standard_error == pytest.approx(
                 np.std(sq, ddof=1) / math.sqrt(reps), rel=1e-12)
             assert (r.reps, r.failures, r.error) == (reps, 0, None)
 
-    def test_estimator_called_once_per_distinct_u(self, monkeypatch):
+    def test_estimator_called_once_per_cell_on_the_sorted_distinct_totals(self, monkeypatch):
         calls = []
         make = estimation._estimator_fn
 
         def counting(name, model, scheme):
             fn = make(name, model, scheme)
 
-            def counted(u):
-                calls.append((name, u))
-                return fn(u)
+            def counted(us):
+                calls.append((name, us.tolist()))
+                return fn(us)
             return counted
 
         monkeypatch.setattr(estimation, "_estimator_fn", counting)
@@ -463,8 +520,7 @@ class TestMonteCarlo:
         reps = 2 * MC_BLOCK + 7
         monte_carlo_mse(model, scheme, ["u", "closed-mle"], reps, seed=12)
         distinct = np.unique(self.block_draws(model, scheme, reps, 12, ())).tolist()
-        assert sorted(calls) == sorted((name, u) for name in ("u", "closed-mle")
-                                       for u in distinct)
+        assert calls == [("u", distinct), ("closed-mle", distinct)]
 
     def test_memory_does_not_grow_with_reps(self):
         model, scheme = Poisson(2.0), RoundingScheme(5)

@@ -522,6 +522,13 @@ class TestMoments:
         # theta = 0.3 at n = 5000 among others: the series refuses a negative variance
         assert raised > 0
 
+    @pytest.mark.parametrize("model", [Poisson(1e5), Binomial(10**8, 0.3)],
+                             ids=["poisson", "binomial"])
+    def test_table_variance_keeps_precision_at_large_means(self, model):
+        # E[U**2] - E[U]**2 cancels here: 1.9e-9 and 1.5e-5 relative off.
+        table = rounded_pmf(model, RoundingScheme(1), 1e-14)
+        assert table.variance() == pytest.approx(model.variance(), rel=1e-10)
+
     def test_negative_binomial_series_matches_enumeration(self):
         model = NegativeBinomial(5, 0.4)
         series = rounded_moments_series(model, RoundingScheme(4))

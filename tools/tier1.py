@@ -1,0 +1,57 @@
+"""Run the tier-1 test suite and check that only the expected tests fail.
+
+Two acceptance criteria fail on purpose (their pinned claims contradict
+exact computation; see ``tests/test_acceptance.py``), so pytest's own exit
+status cannot tell a good run from a bad one.  This script runs the whole
+suite, as ROADMAP.md gives it, with nothing skipped or deselected::
+
+    python tools/tier1.py
+
+It prints pytest's summary line and exits 0 only when the failures are
+exactly those two tests and nothing errors, collection included.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPECTED_FAILURES = {
+    "tests/test_acceptance.py::test_criterion_08_mse_landscape",
+    "tests/test_acceptance.py::test_criterion_09_significance_curves",
+}
+
+# pytest's last line, e.g. "2 failed, 621 passed, 3 xfailed in 23.64s".
+_SUMMARY = re.compile(r"^=*\s*(\d+ \w+.* in [\d.]+s.*?)\s*=*$")
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    failed = {line.split()[1] for line in lines if line.startswith("FAILED ")}
+    errors = [line for line in lines if line.startswith("ERROR ")]
+    summary = next((m.group(1) for line in reversed(lines) if (m := _SUMMARY.match(line))), None)
+    print(summary or "no pytest summary line found")
+    problems = [f"unexpected failure: {name}" for name in sorted(failed - EXPECTED_FAILURES)]
+    problems += [f"expected failure did not fail: {name}"
+                 for name in sorted(EXPECTED_FAILURES - failed)]
+    problems += [f"error: {line[len('ERROR '):]}" for line in errors]
+    if summary is None or "error" in summary:
+        problems.append(f"pytest exited {proc.returncode}; its output ends:")
+        problems += lines[-20:] + proc.stderr.splitlines()[-20:]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
