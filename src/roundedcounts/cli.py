@@ -50,7 +50,7 @@ from .estimation import (
     _ESTIMATOR_NAMES,
     NoMaximumError,
     _estimator_fn,
-    _expectations,
+    _expectation,
     _squared_error,
     mse_ratio_curve,
     numeric_mle,
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-rule", choices=[HALF_UP, HALF_EVEN], default=HALF_UP)
     _add_common(p, presets=["fig2", "fig3"])
 
-    p = sub.add_parser("mse-exact", help="exact estimator MSE by latent enumeration")
+    p = sub.add_parser("mse-exact", help="exact estimator MSE over the table of U")
     p.add_argument("--dist", choices=list(FAMILIES), default="poisson")
     p.add_argument("--param-grid", type=parse_float_list, required=True)
     p.add_argument("--n-list", type=parse_int_list, required=True)
@@ -372,7 +372,7 @@ def _cmd_mse_exact(args, seed):
             target = getattr(model, spec.fitted)
             scheme = RoundingScheme(n, args.tie_rule)
             loss = _squared_error(_estimator_fn(args.estimator, model, scheme), target)
-            mse = _expectations(model, TAIL_EPS, [(loss, scheme)])[0]
+            mse = _expectation(loss, model, scheme, TAIL_EPS)
             rows.append([args.dist, param, n, args.estimator, mse])
     config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
               "n_list": ",".join(map(str, args.n_list)), "estimator": args.estimator,

@@ -5,9 +5,9 @@ latent count fell in the block of values rounding to u, so the likelihood
 is the block-summed ("binned") pmf.  Its maximizer has a closed form for
 every family: the geometric mean of the block's single-point estimates on
 the family's own scale, or a boundary value.  The module also provides
-exact (enumeration-based) and Monte Carlo mean squared errors and the
-rounded-versus-unrounded MSE ratio curves used to quantify the
-inferential cost of rounding.
+exact mean squared errors, summed over the table of U from ``rounded_pmf``,
+Monte Carlo mean squared errors, and the rounded-versus-unrounded MSE
+ratio curves used to quantify the inferential cost of rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .rounding import (
     TAIL_EPS,
     RoundingScheme,
     _block_bounds,
-    round_count,
     rounded_logpmf,
     rounded_pmf,
     sample_u,
@@ -133,23 +132,15 @@ def _block_estimates(block_mle, lo: np.ndarray, hi: np.ndarray, fixed) -> np.nda
     return out
 
 
-def _expectations(model: CountDistribution, tail_eps: float, cases) -> list[float]:
-    """Exact E[fn(U)] for each (fn, scheme) in cases, by one enumeration.
+def _expectation(fn, model: CountDistribution, scheme: RoundingScheme, tail_eps: float) -> float:
+    """Exact E[fn(U)] over the table of ``rounded_pmf`` at the scheme.
 
-    Sums fn(n*[k/n]) P(Y=k) over the n = 1 table of ``rounded_pmf``, the
-    latent window between the tail_eps-quantiles of Y; fn maps the sorted
-    array of distinct support points to their values and is called once.
-    The weights sum to 1 minus the table's truncation mass; ``rounded_pmf``
-    refuses empty and oversized windows.
+    fn maps the sorted array of the table's support points to their values
+    and is called once.  The weights sum to 1 minus the table's truncation
+    mass; ``rounded_pmf`` refuses empty and oversized windows.
     """
-    latent = rounded_pmf(model, RoundingScheme(1), tail_eps)
-    ks, ps = latent.support, latent.probs
-    sums = []
-    for fn, scheme in cases:
-        us = scheme.n * round_count(ks, scheme.n, scheme.tie_rule)
-        distinct, inverse = np.unique(us, return_inverse=True)
-        sums.append(float(np.dot(fn(distinct)[inverse], ps)))
-    return sums
+    table = rounded_pmf(model, scheme, tail_eps)
+    return float(np.dot(fn(table.support), table.probs))
 
 
 def _per_total(fn: Callable[[int], float]):
@@ -166,22 +157,22 @@ def _squared_error(estimates, true_param: float):
 
 def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
               scheme: RoundingScheme, true_param: float, tail_eps: float = TAIL_EPS) -> float:
-    """Exact mean squared error of estimator(u(Y)) against the true parameter.
+    """Exact mean squared error of estimator(U) against the true parameter.
 
-    Sums (T(u(k)) - true)**2 P(Y=k) over the n = 1 table of ``rounded_pmf``,
-    the latent k between the tail_eps-quantiles of Y; with n = 1 this is the
-    unrounded case T(k).  The estimator is evaluated once per distinct
-    support point.
+    Sums (T(u) - true)**2 P(U=u) over the table of ``rounded_pmf`` at the
+    scheme, the lattice points between the tail_eps-quantiles of Y; with
+    n = 1 this is the unrounded case T(k).  The estimator is evaluated once
+    per support point.
     """
     loss = _squared_error(_per_total(estimator), true_param)
-    return _expectations(model, tail_eps, [(loss, scheme)])[0]
+    return _expectation(loss, model, scheme, tail_eps)
 
 
 def expected_value_exact(fn: Callable[[int], float], model: CountDistribution,
                          scheme: RoundingScheme, tail_eps: float = TAIL_EPS) -> float:
-    """Exact E[fn(U)] by enumeration over the latent values between the
-    tail_eps-quantiles of Y."""
-    return _expectations(model, tail_eps, [(_per_total(fn), scheme)])[0]
+    """Exact E[fn(U)] by enumeration over the table of ``rounded_pmf`` at the
+    scheme, the lattice points between the tail_eps-quantiles of Y."""
+    return _expectation(_per_total(fn), model, scheme, tail_eps)
 
 
 @dataclass
@@ -211,10 +202,11 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     """MSE ratio of the numerically fitted parameter from rounded versus
     unrounded counts, over a parameter grid and a list of group counts.
 
-    Each grid point builds one latent table (``rounded_pmf`` at n = 1 and
-    tail_eps) and every group count's MSE sums over it, with the estimator
-    called once on the table's distinct rounded totals.  A grid point whose
-    unrounded MSE is 0 leaves the ratio undefined and raises ValueError.
+    Each grid point builds one table of U (``rounded_pmf`` at tail_eps) per
+    distinct group count, n = 1 included, and sums that count's MSE over it,
+    with the estimator called once on the table's support; a group count
+    listed twice reuses its MSE.  A grid point whose unrounded MSE is 0
+    leaves the ratio undefined and raises ValueError.
     """
     param_grid = np.asarray(list(param_grid), dtype=float)
     n_list = tuple(int(n) for n in n_list)
@@ -222,16 +214,17 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
         raise ValueError("param_grid and n_list must be non-empty")
     spec = family_spec(family)
     fixed = spec.resolve(trials=trials, nb_size=nb_size)
-    schemes = [RoundingScheme(n, HALF_UP) for n in (1, *n_list)]
+    schemes = {n: RoundingScheme(n, HALF_UP) for n in (1, *n_list)}
     mse = np.empty((1 + len(n_list), param_grid.size))
     for j, param in enumerate(param_grid):
         model = spec.make(float(param), fixed)
-        cases = [(_squared_error(_estimator_fn("numeric-mle", model, scheme), param), scheme)
-                 for scheme in schemes]
-        mse[:, j] = _expectations(model, tail_eps, cases)
-        if mse[0, j] == 0.0:
+        by_n = {n: _expectation(_squared_error(_estimator_fn("numeric-mle", model, scheme), param),
+                                model, scheme, tail_eps)
+                for n, scheme in schemes.items()}
+        if by_n[1] == 0.0:
             raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "
                              f"tail_eps={tail_eps}, so the MSE ratio is undefined")
+        mse[:, j] = [by_n[n] for n in (1, *n_list)]
     mse_unrounded = np.repeat(mse[:1], len(n_list), axis=0)
     return MseRatioCurve(family=family, n_list=n_list, param_grid=param_grid,
                          mse_rounded=mse[1:], mse_unrounded=mse_unrounded,

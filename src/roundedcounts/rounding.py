@@ -292,8 +292,6 @@ def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float
     observed u.
     """
     block = support_block(u, scheme)
-    if len(block) == 0:
-        return -np.inf
     return _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
 
 

@@ -359,6 +359,23 @@ def test_inapplicable_mse_sim_estimator_is_a_flagged_row(capsys):
     assert "Poisson" in flagged["error"]
 
 
+@pytest.mark.parametrize("argv, needed", [
+    (["mse-sim"], "--param-grid and --n-list"),
+    (["mse-sim", "--param-grid", "1"], "--param-grid and --n-list"),
+    (["mse-sim", "--n-list", "2"], "--param-grid and --n-list"),
+    (["mse-ratio", "--n-list", "1,2"], "--dist"),
+    (["mse-ratio", "--dist", "poisson", "--param-grid", "1"], "--n-list"),
+    (["excess-deaths", "--n1", "7", "--n2", "14"], "--u1/--u2"),
+    (["excess-deaths", "--n1", "7", "--n2", "14", "--u1", "7"], "--u1/--u2"),
+])
+def test_missing_required_input_is_usage_error(capsys, argv, needed):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.strip())
+    assert error["type"] == "ValueError" and needed in error["error"]
+
+
 def test_zero_group_count_in_excess_deaths_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "excess-deaths", "--u1", "0", "--u2", "0",
                              "--n1", "0", "--n2", "1")

@@ -313,7 +313,31 @@ def estimator_exact_mse(name, model, scheme, true_param):
     """The exact MSE of a named estimator through its array function, as the
     mse-exact command computes it."""
     loss = estimation._squared_error(_estimator_fn(name, model, scheme), true_param)
-    return estimation._expectations(model, TAIL_EPS, [(loss, scheme)])[0]
+    return estimation._expectation(loss, model, scheme, TAIL_EPS)
+
+
+def latent_expectation(fn, model, scheme, tail_eps=1e-16):
+    """E[fn(U)] by enumerating the latent values: each k of the n = 1 table
+    between the tail_eps-quantiles of Y is rounded with ``round_count`` and
+    weighted by its entry.  An independent reference for the sums over the
+    table of U."""
+    latent = rounded_pmf(model, RoundingScheme(1), tail_eps)
+    us = scheme.n * round_count(latent.support, scheme.n, scheme.tie_rule)
+    value = {u: float(fn(u)) for u in set(us.tolist())}
+    return float(np.dot([value[u] for u in us.tolist()], latent.probs))
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The tables ``estimation`` builds through ``rounded_pmf``, in order."""
+    built = []
+
+    def recording_rounded_pmf(*args):
+        built.append(rounded_pmf(*args))
+        return built[-1]
+
+    monkeypatch.setattr(estimation, "rounded_pmf", recording_rounded_pmf)
+    return built
 
 
 class TestExactMse:
@@ -370,11 +394,25 @@ class TestExactMse:
         with pytest.raises(ValueError, match="over the limit"):
             exact_mse(float, Poisson(1e14), RoundingScheme(3), 1e14)
 
-    def test_expected_value_matches_moments(self):
-        model, scheme = Poisson(5.0), RoundingScheme(4)
-        mean = expected_value_exact(float, model, scheme, 1e-13)
-        table = rounded_pmf(model, scheme, 1e-13)
-        assert mean == pytest.approx(table.mean(), abs=1e-10)
+    @pytest.mark.parametrize("tie_rule", [HALF_UP, HALF_EVEN])
+    @pytest.mark.parametrize("n", [2, 5, 31])
+    @pytest.mark.parametrize("family, model, fixed", [
+        ("poisson", Poisson(7.5), {}),
+        ("binomial", Binomial(40, 0.35), {"trials": 40}),
+        ("negbinomial", NegativeBinomial(3.0, 0.3), {"nb_size": 3.0}),
+    ])
+    def test_matches_the_latent_enumeration(self, family, model, fixed, n, tie_rule):
+        scheme = RoundingScheme(n, tie_rule)
+        target = getattr(model, family_spec(family).fitted)
+        mean = expected_value_exact(float, model, scheme)
+        assert mean == pytest.approx(latent_expectation(float, model, scheme), rel=1e-9)
+
+        def fit(u):
+            return numeric_mle(u, scheme, family, **fixed).value
+
+        mse = exact_mse(fit, model, scheme, target)
+        reference = latent_expectation(lambda u: (fit(u) - target) ** 2, model, scheme)
+        assert mse == pytest.approx(reference, rel=1e-9)
 
 
 _LARGE_MODELS = [*(Poisson(theta) for theta in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)),
@@ -382,8 +420,8 @@ _LARGE_MODELS = [*(Poisson(theta) for theta in (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)),
 
 
 class TestExactExpectationAccuracy:
-    """The expectations weight each latent value by the n = 1 table of
-    ``rounded_pmf``, whose entries are differences of the accurate tails."""
+    """The expectations weight each rounded total by its entry in the table of
+    ``rounded_pmf`` at the call's scheme, a difference of the accurate tails."""
 
     @pytest.mark.parametrize("model", [
         *_LARGE_MODELS,
@@ -398,18 +436,18 @@ class TestExactExpectationAccuracy:
         assert mse == pytest.approx(model.variance(), rel=1e-9)
 
     @pytest.mark.parametrize("model", _LARGE_MODELS, ids=repr)
-    def test_expected_one_is_the_tabulated_mass(self, model, monkeypatch):
-        built = []
-
-        def recording_rounded_pmf(*args):
-            built.append(rounded_pmf(*args))
-            return built[-1]
-
-        monkeypatch.setattr(estimation, "rounded_pmf", recording_rounded_pmf)
+    def test_expected_one_is_the_tabulated_mass(self, model, built_tables):
         one = expected_value_exact(lambda u: 1.0, model, RoundingScheme(3))
-        (latent,) = built
-        assert latent.n == 1
-        assert one == pytest.approx(1.0 - latent.truncation_mass, abs=1e-12)
+        (table,) = built_tables
+        assert table.n == 3
+        assert one == pytest.approx(1.0 - table.truncation_mass, abs=1e-12)
+
+    def test_large_group_count_reads_the_table_of_u(self):
+        # The latent window holds about 2.2e7 values, over MAX_TABLE_ENTRIES;
+        # the table of U holds about 2,200.
+        model, n = Binomial(10**13, 0.5), 10_000
+        mse = exact_mse(float, model, RoundingScheme(n), model.mean())
+        assert mse == pytest.approx(model.variance() + (n * n - 1) / 12, rel=1e-9)
 
 
 class TestMseRatio:
@@ -454,6 +492,16 @@ class TestMseRatio:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             mse_ratio_curve("poisson", [], [1])
+
+    def test_one_table_per_distinct_group_count(self, built_tables):
+        curve = mse_ratio_curve("poisson", [2.0], [1, 5])
+        assert sorted(table.n for table in built_tables) == [1, 5]
+        assert curve.psi[0, 0] == 1.0
+        built_tables.clear()
+        curve = mse_ratio_curve("poisson", [2.0], [5, 5])
+        assert sorted(table.n for table in built_tables) == [1, 5]
+        assert curve.mse_rounded[0].tobytes() == curve.mse_rounded[1].tobytes()
+        assert curve.psi[0].tobytes() == curve.psi[1].tobytes()
 
     @pytest.mark.parametrize("family, model_of, fixed", [
         ("poisson", Poisson, {}),

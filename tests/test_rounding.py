@@ -128,6 +128,14 @@ class TestBlocks:
             covered.extend(block)
         assert covered == list(range(len(covered)))
 
+    @pytest.mark.parametrize("tie", [HALF_UP, HALF_EVEN])
+    def test_every_block_contains_its_lattice_point(self, tie):
+        # so no block is empty, and rounded_logpmf always has a term to sum
+        for n in range(1, 41):
+            scheme = RoundingScheme(n, tie)
+            for v in range(51):
+                assert v * n in support_block(v * n, scheme), (n, v)
+
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_tie_rules_reassign_only_tie_values(self, n):
         # the two tie rules may disagree only on latent values sitting

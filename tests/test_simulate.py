@@ -11,10 +11,14 @@ from roundedcounts import (
     Poisson,
     ResultTable,
     RoundingScheme,
+    binned_binomial_test,
+    monte_carlo_mse,
     rng_substream,
+    round_count,
     run_mse_experiment,
     sample_u,
 )
+from roundedcounts import tableio
 from roundedcounts.estimation import MC_BLOCK
 
 
@@ -134,3 +138,22 @@ class TestExperiment:
             self.config(param_grid=())
         with pytest.raises(ValueError):
             self.config(family="lognormal")
+
+
+def _table_with_other_columns():
+    buf = io.StringIO()
+    tableio.write_csv(buf, {}, ["family", "mse"], [["poisson", 1.0]])
+    return ResultTable.from_csv(io.StringIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: round_count(5, 2, "bogus"), "tie_rule"),
+    (lambda: monte_carlo_mse(Poisson(1.0), RoundingScheme(2), ["u"], 0, seed=1), "reps"),
+    (lambda: binned_binomial_test(30, 100, 3, 0.0, 0.05), "phi0"),
+    (lambda: binned_binomial_test(30, 100, 3, 1.0, 0.05), "phi0"),
+    (_table_with_other_columns, "unexpected columns"),
+], ids=["round_count-tie-rule", "monte-carlo-zero-reps", "binned-test-phi0-0",
+        "binned-test-phi0-1", "result-table-columns"])
+def test_library_refuses_invalid_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
