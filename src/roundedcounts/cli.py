@@ -2,9 +2,15 @@
 
 Every subcommand echoes its fully resolved configuration (defaults and seed
 included) into the output header, writes reals with 17 significant digits
-and exits 0 on success, 2 on usage errors and 1 on numerical failures (with
-a machine-readable error line on stderr).  Deterministic subcommands rerun
-with the same seed produce byte-identical files.
+and exits 0 on success, 2 on usage errors (an ``--out`` path that cannot be
+written included) and 1 on numerical failures, with a machine-readable
+error line on stderr.  Deterministic subcommands rerun with the same seed
+produce byte-identical files.
+
+``--out PATH`` overwrites an existing file in place: the table is rendered
+once, written over the old bytes and the file is then cut to the new
+length, so its inode, permission bits and links stay as they were.  The
+write is not atomic.  A refused command writes nothing.
 
 Figure presets bundle the settings behind the package's reference plots::
 
@@ -28,8 +34,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -100,7 +108,7 @@ def parse_float_list(text: str) -> list[float]:
         if not np.all(np.isfinite((start, stop, step))):
             raise argparse.ArgumentTypeError(f"grid range {text!r} must be finite")
         if step <= 0:
-            raise ValueError(f"grid step must be positive in {text!r}")
+            raise argparse.ArgumentTypeError(f"grid step must be positive in {text!r}")
         span = (stop - start) / step
         if not span < MAX_TABLE_ENTRIES - 0.5:  # more than the limit, or inf
             raise argparse.ArgumentTypeError(f"grid range {text!r} holds more points than "
@@ -165,7 +173,7 @@ def _add_common(parser: argparse.ArgumentParser, presets=()):
     parser.add_argument("--format", choices=["csv", "json"], default="csv",
                         help="output format (default: csv)")
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the table to PATH instead of stdout")
+                        help="write the table to PATH instead of stdout (over it in place)")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"random seed (default: ${SEED_ENV_VAR} or {_DEFAULT_SEED})")
     if presets:
@@ -466,17 +474,25 @@ _HANDLERS = {
 
 
 def _emit(args, config, columns, rows) -> None:
-    def write(stream):
-        if args.format == "json":
-            tableio.write_json(stream, config, columns, rows)
-        else:
-            tableio.write_csv(stream, config, columns, rows)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    stream = io.StringIO()
+    write = tableio.write_json if args.format == "json" else tableio.write_csv
+    write(stream, config, columns, rows)
+    if not args.out:
+        sys.stdout.write(stream.getvalue())
+        return
+    # Written over the old bytes, then cut to length: truncating to zero
+    # first makes ext4 (auto_da_alloc) flush the data at close.  Only a
+    # regular file is cut; O_BINARY keeps LF line ends on Windows.
+    data = stream.getvalue().encode("utf-8")
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def main(argv=None) -> int:
@@ -494,7 +510,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 2
     return 0

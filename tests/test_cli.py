@@ -28,8 +28,9 @@ def test_grid_parsing():
     assert parse_float_list("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
     assert parse_float_list("1,2.5,4") == [1.0, 2.5, 4.0]
     assert parse_int_list("1,2,5") == [1, 2, 5]
-    with pytest.raises(ValueError):
-        parse_float_list("1:2:-1")
+    for text in ("1:2:-1", "1:2:0"):
+        with pytest.raises(argparse.ArgumentTypeError, match="step must be positive"):
+            parse_float_list(text)
     for text in ("", ",", "0.9:0.1:0.05"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_float_list(text)
@@ -56,6 +57,12 @@ def test_grid_range_limit_is_inclusive(monkeypatch):
     assert len(parse_float_list("1:10:1")) == 10
     with pytest.raises(argparse.ArgumentTypeError, match="more points than the limit, 10"):
         parse_float_list("1:11:1")
+
+
+def test_non_positive_grid_step_is_usage_error_with_its_reason(capsys):
+    code, out, err = run_cli(capsys, "mse-exact", "--param-grid", "1:2:-1", "--n-list", "1")
+    assert (code, out) == (2, "")
+    assert "grid step must be positive" in err
 
 
 @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:1e-12"])
@@ -410,3 +417,82 @@ def test_mse_exact_table(capsys):
     _, columns, rows = read_csv(io.StringIO(out))
     row = dict(zip(columns, rows[0]))
     assert row["mse"] == pytest.approx(1.0, abs=1e-6)  # Var(Y) at n=1
+
+
+PMF_LONG = ["pmf", "--theta", "2", "--n-list", "1,3,10", "--seed", "7"]
+PMF_SHORT = ["pmf", "--theta", "2", "--n-list", "3", "--seed", "7"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_rerun_with_a_shorter_table_leaves_only_the_new_bytes(capsys, tmp_path, fmt):
+    path = tmp_path / "table.out"
+    assert main([*PMF_LONG, "--format", fmt, "--out", str(path)]) == 0
+    longer, inode = path.stat().st_size, path.stat().st_ino
+    code, expected, _ = run_cli(capsys, *PMF_SHORT, "--format", fmt)
+    assert code == 0 and len(expected.encode()) < longer
+    assert main([*PMF_SHORT, "--format", fmt, "--out", str(path)]) == 0
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.stat().st_ino == inode
+
+
+def test_out_writes_through_a_symlink(capsys, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    assert main([*PMF_SHORT, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    _, expected, _ = run_cli(capsys, *PMF_SHORT)
+    assert target.read_bytes() == expected.encode("utf-8")
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("old")
+    path.chmod(0o640)
+    assert main([*PMF_SHORT, "--out", str(path)]) == 0
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_new_out_file_gets_the_umask(tmp_path):
+    path = tmp_path / "table.csv"
+    old = os.umask(0o027)
+    try:
+        assert main([*PMF_SHORT, "--out", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_to_a_device_is_not_truncated(capsys):
+    # ftruncate on a character device fails, so a truncate there would exit 2.
+    code, out, err = run_cli(capsys, *PMF_SHORT, "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_refused_command_leaves_an_existing_out_file_untouched(capsys, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"previous table\n")
+    code, _, err = run_cli(capsys, "pgf-check", "--theta", "2", "--points", "0",
+                           "--out", str(path))
+    assert code == 2 and "--points" in err
+    assert path.read_bytes() == b"previous table\n"
+
+
+@pytest.mark.parametrize("where, kind", [("missing/x.csv", "FileNotFoundError"),
+                                         (".", "IsADirectoryError")])
+def test_unwritable_out_path_is_usage_error(capsys, tmp_path, where, kind):
+    code, out, err = run_cli(capsys, *PMF_SHORT, "--out", str(tmp_path / where))
+    assert (code, out) == (2, "")
+    error = json.loads(err.strip())
+    assert set(error) == {"error", "type"} and error["type"] == kind
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_reruns_into_one_path_leak_no_descriptors(tmp_path):
+    path = str(tmp_path / "table.csv")
+    assert main([*PMF_SHORT, "--out", path]) == 0
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert main([*PMF_SHORT, "--out", path]) == 0
+    assert len(os.listdir("/proc/self/fd")) == before

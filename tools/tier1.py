@@ -8,7 +8,10 @@ suite, as ROADMAP.md gives it, with nothing skipped or deselected::
     python tools/tier1.py
 
 It prints pytest's summary line and exits 0 only when the failures are
-exactly those two tests and nothing errors, collection included.
+exactly those two tests, the tests reported as xfailed are exactly the three
+strict xfails that record the scipy Poisson tail defect (ROADMAP open item
+3), and nothing errors, collection included.  So a lost xfail (deleted,
+renamed or skipped) cannot hide that defect.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ EXPECTED_FAILURES = {
     "tests/test_acceptance.py::test_criterion_09_significance_curves",
 }
 
+EXPECTED_XFAILS = {
+    "tests/test_distributions.py::test_poisson_upper_tail_at_large_means_matches_mpmath[1000000.0]",
+    "tests/test_distributions.py::test_poisson_upper_tail_at_large_means_matches_mpmath[10000000.0]",
+    "tests/test_estimation.py::TestExactExpectationAccuracy::"
+    "test_identity_mse_is_the_variance[Poisson(theta=10000000.0)]",
+}
+
 # pytest's last line, e.g. "2 failed, 621 passed, 3 xfailed in 23.64s".
 _SUMMARY = re.compile(r"^=*\s*(\d+ \w+.* in [\d.]+s.*?)\s*=*$")
 
@@ -34,16 +44,20 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfE"],
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-rfEx"],
         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     failed = {line.split()[1] for line in lines if line.startswith("FAILED ")}
+    xfailed = {line.split()[1] for line in lines if line.startswith("XFAIL ")}
     errors = [line for line in lines if line.startswith("ERROR ")]
     summary = next((m.group(1) for line in reversed(lines) if (m := _SUMMARY.match(line))), None)
     print(summary or "no pytest summary line found")
     problems = [f"unexpected failure: {name}" for name in sorted(failed - EXPECTED_FAILURES)]
     problems += [f"expected failure did not fail: {name}"
                  for name in sorted(EXPECTED_FAILURES - failed)]
+    problems += [f"unexpected xfail: {name}" for name in sorted(xfailed - EXPECTED_XFAILS)]
+    problems += [f"expected xfail was not reported as xfailed: {name}"
+                 for name in sorted(EXPECTED_XFAILS - xfailed)]
     problems += [f"error: {line[len('ERROR '):]}" for line in errors]
     if summary is None or "error" in summary:
         problems.append(f"pytest exited {proc.returncode}; its output ends:")
