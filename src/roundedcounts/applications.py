@@ -6,26 +6,27 @@ period when each period's total is only available as a rounded average
 total success count is only available rounded (true significance of the
 misspecified normal test, and an exact conservative test binned on the
 rounded lattice).
+
+Every level and cut is read off two tails of the latent count at block
+edges; no table of U is built.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .distributions import Binomial
+from .distributions import Binomial, _positive_int
 from .estimation import poisson_mle_closed
 from .rounding import (
     HALF_UP,
-    TAIL_EPS,
-    RoundedPmf,
     RoundingScheme,
+    _block_bounds,
     _check_lattice,
+    round_count,
     rounded_moments_poisson,
-    rounded_pmf,
 )
 
 __all__ = [
@@ -115,13 +116,6 @@ def excess_moments(design: ExcessDeathsDesign) -> ExcessMoments:
     )
 
 
-def _acceptance_bounds(total: int, phi0: float, alpha: float) -> tuple[float, float]:
-    """Bounds of the normal-test acceptance region for the success count."""
-    center = total * phi0
-    half = special.ndtri(1.0 - alpha / 2.0) * np.sqrt(total * phi0 * (1.0 - phi0))
-    return center - half, center + half
-
-
 @dataclass
 class SignificanceCurve:
     """True significance level across a grid of null success probabilities."""
@@ -132,6 +126,54 @@ class SignificanceCurve:
     nominal_alpha: float
     true_level: np.ndarray
     mode: str
+
+
+def _outside(model: Binomial, scheme: RoundingScheme, a: int, b: int) -> tuple[float, float]:
+    """P(V < a) and P(V > b) for V = [Y/n]: the latent tails before the
+    first value of a's block and past the last value of b's block."""
+    first, _ = _block_bounds(scheme.n, scheme.tie_rule, a)
+    _, last = _block_bounds(scheme.n, scheme.tie_rule, b)
+    return float(model.cdf(first - 1)), float(model.sf(last))
+
+
+def _binned_region(model: Binomial, scheme: RoundingScheme,
+                   alpha: float) -> tuple[int, int, float, float]:
+    """Group indices a..b that the equal-tail test on the lattice accepts,
+    and the two rejected tails P(V < a) and P(V > b).
+
+    The test rejects V < a and V > b, with a as large and b as small as
+    keeps each rejected tail at most alpha/2.  The first guess rejects the
+    blocks that end at or below the lower alpha/2-quantile of Y
+    (``support_window``) and those that start at or above the upper one.
+    Each side holds at most one block too many, the one touching its
+    quantile, and gives it back when its tail exceeds alpha/2.
+    """
+    half = alpha / 2.0
+    y_lo, y_hi = model.support_window(half)
+    a = round_count(y_lo + 1, scheme.n, scheme.tie_rule)
+    b = round_count(y_hi - 1, scheme.n, scheme.tie_rule) if y_hi > 0 else -1
+    below, above = _outside(model, scheme, a, b)
+    if below > half or above > half:
+        a, b = a - (below > half), b + (above > half)
+        below, above = _outside(model, scheme, a, b)
+    return a, b, below, above
+
+
+def _level(model: Binomial, scheme: RoundingScheme, alpha: float, mode: str) -> float:
+    """True level of one mode: the latent tails outside the accepted group indices."""
+    if mode == MODE_BINNED_U:
+        _, _, below, above = _binned_region(model, scheme, alpha)
+        return below + above
+    if mode == MODE_EXACT_Y:
+        scheme = RoundingScheme(1)  # the test on Y is the test on U at n = 1
+    half = special.ndtri(1.0 - alpha / 2.0) * np.sqrt(model.variance())
+    lo, hi = model.mean() - half, model.mean() + half
+    # The normal test accepts lo <= U <= hi, that is ceil(lo) <= n*V <= floor(hi).
+    a, b = -(-int(np.ceil(lo)) // scheme.n), int(np.floor(hi)) // scheme.n
+    if a > b:  # nothing is accepted; the two tails would add up to 1 only to roundoff
+        return 1.0
+    below, above = _outside(model, scheme, a, b)
+    return below + above
 
 
 def true_significance(m: int, n: int, phi0_grid, alpha: float, mode: str,
@@ -149,56 +191,25 @@ def true_significance(m: int, n: int, phi0_grid, alpha: float, mode: str,
     * ``binned-u``: the exact equal-tail test on the rounded lattice, which
       is conservative by construction.
 
-    Everything is computed by exact tail summation; no simulation.
-    """
-    phi0_grid = np.asarray(list(phi0_grid), dtype=float)
-    levels = _significance_levels(m, n, phi0_grid, [alpha], mode, tie_rule)[0]
-    return SignificanceCurve(m=int(m), n=int(n), phi0_grid=phi0_grid,
-                             nominal_alpha=float(alpha), true_level=levels, mode=mode)
-
-
-def _significance_levels(m: int, n: int, phi0_grid, alphas, mode: str,
-                         tie_rule: str = HALF_UP) -> np.ndarray:
-    """True levels of :func:`true_significance`, indexed [alpha, phi0].
-
-    The rounded table of each phi0 depends on alpha only through its tail
-    quantile (``TAIL_EPS``, or alpha/2 when smaller for ``binned-u``), so
-    it is built once per distinct quantile and shared by the alphas.
+    Rounding is monotone, so each level is P(Y < a) + P(Y > b) for the
+    first latent value a and the last latent value b that the test
+    accepts: two exact tails of Y, with no table and no truncation.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     phi0_grid = np.asarray(list(phi0_grid), dtype=float)
-    if phi0_grid.size == 0 or len(alphas) == 0:
-        raise ValueError("phi0_grid and alphas must be non-empty")
+    if phi0_grid.size == 0:
+        raise ValueError("phi0_grid must be non-empty")
     if np.any((phi0_grid <= 0.0) | (phi0_grid >= 1.0)):
         raise ValueError("phi0 values must lie strictly inside (0, 1)")
-    total = int(m) * int(n)
-    scheme = RoundingScheme(int(n), tie_rule)
-
-    levels = np.empty((len(alphas), phi0_grid.size))
-    for idx, phi0 in enumerate(phi0_grid):
-        model = Binomial(total, phi0)
-        tabulate = functools.cache(functools.partial(rounded_pmf, model, scheme))
-        for a, alpha in enumerate(alphas):
-            lo, hi = _acceptance_bounds(total, phi0, alpha)
-            if mode == MODE_EXACT_Y:
-                levels[a, idx] = float(model.cdf(np.ceil(lo) - 1.0) + model.sf(np.floor(hi)))
-            elif mode == MODE_MISSPECIFIED_U:
-                table = tabulate(TAIL_EPS)
-                support = table.support
-                outside = (support < lo) | (support > hi)
-                # A side's off-window mass counts when the lattice point next to
-                # the table is outside the acceptance interval, and with it every
-                # point beyond; otherwise it is left out, an error below TAIL_EPS.
-                below = table.mass_below if support[0] - scheme.n < lo else 0.0
-                above = table.mass_above if support[-1] + scheme.n > hi else 0.0
-                levels[a, idx] = float(np.sum(table.probs[outside])) + below + above
-            else:
-                levels[a, idx] = _binned_region(tabulate(_binned_eps(alpha)), alpha)[2]
-    return levels
+    m, n = _positive_int(m, "m"), _positive_int(n, "n")
+    scheme = RoundingScheme(n, tie_rule)
+    levels = np.array([_level(Binomial(m * n, phi0), scheme, alpha, mode)
+                       for phi0 in phi0_grid.tolist()])
+    return SignificanceCurve(m=m, n=n, phi0_grid=phi0_grid, nominal_alpha=float(alpha),
+                             true_level=levels, mode=mode)
 
 
 @dataclass
@@ -211,62 +222,30 @@ class BinnedTestResult:
     upper_cut: int | None
 
 
-def _binned_eps(alpha: float) -> float:
-    """Tail quantile of the table behind the binned test at level alpha."""
-    return min(TAIL_EPS, alpha / 2.0)
-
-
-def _binned_region(table: RoundedPmf, alpha: float):
-    """Equal-tail rejection cuts on the rounded lattice and the exact level.
-
-    ``table`` must leave out less than alpha/2 on each side
-    (``_binned_eps``).  The lower cut is the largest support point whose
-    lower tail holds at most alpha/2; the upper cut is the smallest support
-    point whose upper tail holds at most alpha/2.  The attained level
-    therefore never exceeds alpha.
-    """
-    # The lattice point next to each end of the table stands for the whole
-    # off-window mass of its side.  That mass is below alpha/2, so a cut
-    # beyond the table can only fall on that point.
-    n, count = table.n, len(table.probs)
-    keep = [table.mass_below > 0, *[True] * count, table.mass_above > 0]
-    probs = np.concatenate(([table.mass_below], table.probs, [table.mass_above]))[keep]
-    support = n * np.arange(table.first - 1, table.first + count + 1)[keep]
-    lower_tail = np.cumsum(probs)
-    upper_tail = np.cumsum(probs[::-1])[::-1]
-
-    lower_ok = np.nonzero(lower_tail <= alpha / 2.0)[0]
-    upper_ok = np.nonzero(upper_tail <= alpha / 2.0)[0]
-    lower_cut = int(support[lower_ok[-1]]) if lower_ok.size else None
-    upper_cut = int(support[upper_ok[0]]) if upper_ok.size else None
-    level = 0.0
-    if lower_cut is not None:
-        level += float(lower_tail[lower_ok[-1]])
-    if upper_cut is not None:
-        level += float(upper_tail[upper_ok[0]])
-    return lower_cut, upper_cut, level
-
-
 def binned_binomial_test(u, m: int, n: int, phi0: float, alpha: float,
                          tie_rule: str = HALF_UP) -> BinnedTestResult:
     """Exact two-sided test of the success probability from a rounded total.
 
-    The rejection region accumulates at most alpha/2 of the rounded-total
-    distribution in each tail, so the attained (true) level is at most the
-    nominal alpha.  At n = 1 this is the usual exact equal-tail test on the
-    latent count itself.
+    The lower cut is the largest lattice point whose lower tail holds at
+    most alpha/2 of the rounded-total distribution, the upper cut the
+    smallest one (up to the largest possible total) whose upper tail does,
+    and a side without such a point has no cut.  So the attained (true)
+    level is at most the nominal alpha.  At n = 1 this is the usual exact
+    equal-tail test on the latent count itself.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 < phi0 < 1.0:
         raise ValueError(f"phi0 must lie strictly inside (0, 1), got {phi0}")
-    scheme = RoundingScheme(int(n), tie_rule)
-    u = _check_lattice(u, scheme.n)
-    total = int(m) * int(n)
-    table = rounded_pmf(Binomial(total, float(phi0)), scheme, _binned_eps(float(alpha)))
-    lower_cut, upper_cut, level = _binned_region(table, float(alpha))
+    m, n = _positive_int(m, "m"), _positive_int(n, "n")
+    scheme = RoundingScheme(n, tie_rule)
+    u = _check_lattice(u, n)
+    model = Binomial(m * n, float(phi0))
+    a, b, below, above = _binned_region(model, scheme, float(alpha))
+    lower_cut = n * (a - 1) if a > 0 else None
+    upper_cut = n * (b + 1) if b < round_count(m * n, n, tie_rule) else None
     reject = (lower_cut is not None and u <= lower_cut) or (
         upper_cut is not None and u >= upper_cut
     )
-    return BinnedTestResult(reject=bool(reject), true_level=level,
+    return BinnedTestResult(reject=bool(reject), true_level=below + above,
                             lower_cut=lower_cut, upper_cut=upper_cut)

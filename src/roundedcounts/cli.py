@@ -48,10 +48,10 @@ from .applications import (
     MODE_EXACT_Y,
     MODE_MISSPECIFIED_U,
     ExcessDeathsDesign,
-    _significance_levels,
     binned_binomial_test,
     excess_moments,
     excess_point_estimates,
+    true_significance,
 )
 from .distributions import FAMILIES
 from .estimation import (
@@ -428,10 +428,10 @@ def _cmd_true_significance(args, seed):
     m, n, phi0_grid, alpha_list, modes = args.m, args.n, args.phi0_grid, args.alpha_list, args.modes
     rows = []
     for mode in modes.split(","):
-        levels = _significance_levels(m, n, phi0_grid, alpha_list, mode)
-        for alpha, row in zip(alpha_list, levels):
+        for alpha in alpha_list:
+            curve = true_significance(m, n, phi0_grid, alpha, mode)
             rows.extend([mode, alpha, float(phi0), float(level)]
-                        for phi0, level in zip(phi0_grid, row))
+                        for phi0, level in zip(phi0_grid, curve.true_level))
     config = {"m": m, "n": n, "phi0_grid": ",".join(map(str, phi0_grid)),
               "alpha_list": ",".join(map(str, alpha_list)), "modes": modes, "seed": seed}
     return config, ["mode", "alpha", "phi0", "true_level"], rows
@@ -443,6 +443,8 @@ def _cmd_excess_deaths(args, seed):
     have_design = args.theta is not None
     if not have_point and not have_design:
         raise ValueError("provide --u1/--u2 for point estimates or --theta/--beta for moments")
+    if args.beta is not None and not have_design:
+        raise ValueError("--beta is the excess of the moment mode and needs --theta")
     if have_point:
         plain, fitted = excess_point_estimates(args.u1, args.u2, args.n1, args.n2)
         rows.append(["excess_plain", plain])

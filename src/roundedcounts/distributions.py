@@ -27,6 +27,13 @@ __all__ = ["CountDistribution", "Poisson", "Binomial", "NegativeBinomial", "Fami
            "FAMILIES", "family_spec"]
 
 
+def _positive_int(value, name: str) -> int:
+    """value as an int; ValueError unless it is a positive integer (2.0 passes, 2.5 does not)."""
+    if value < 1 or int(value) != value:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 def _integer_power(z, k: int):
     """z**k for complex z via the complex log, safe for very large k."""
     z = np.asarray(z, dtype=complex)
@@ -209,11 +216,9 @@ class Binomial(CountDistribution):
     kind = "binomial"
 
     def __init__(self, trials: int, prob: float):
-        if trials < 1 or int(trials) != trials:
-            raise ValueError(f"trials must be a positive integer, got {trials}")
+        self.trials = _positive_int(trials, "trials")
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must lie in [0, 1], got {prob}")
-        self.trials = int(trials)
         self.prob = float(prob)
 
     def __repr__(self):

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FAMILIES, CountDistribution, Poisson, family_spec
+from .distributions import FAMILIES, CountDistribution, Poisson, _positive_int, family_spec
 from .rounding import (
     HALF_UP,
     TAIL_EPS,
@@ -75,7 +75,7 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     reference estimator whose large-sample mean the asymptotic formulas
     describe.
     """
-    scheme = RoundingScheme(int(n), HALF_UP)
+    scheme = RoundingScheme(_positive_int(n, "n"), HALF_UP)
     block = support_block(u, scheme)
     lo, hi = _positive(block.start, block.stop - 1)
     value = float(FAMILIES["poisson"].block_mle(np.arange(lo, hi + 1, dtype=float)[None], None)[0])
@@ -209,7 +209,7 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     leaves the ratio undefined and raises ValueError.
     """
     param_grid = np.asarray(list(param_grid), dtype=float)
-    n_list = tuple(int(n) for n in n_list)
+    n_list = tuple(_positive_int(n, "n") for n in n_list)
     if param_grid.size == 0 or len(n_list) == 0:
         raise ValueError("param_grid and n_list must be non-empty")
     spec = family_spec(family)

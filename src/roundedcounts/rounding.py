@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import Binomial, CountDistribution, Poisson
+from .distributions import Binomial, CountDistribution, Poisson, _positive_int
 
 __all__ = [
     "HALF_UP",
@@ -87,8 +87,7 @@ class RoundingScheme:
     tie_rule: str = HALF_UP
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _positive_int(self.n, "n")
         if self.tie_rule not in _TIE_RULES:
             raise ValueError(f"tie_rule must be one of {_TIE_RULES}, got {self.tie_rule!r}")
 

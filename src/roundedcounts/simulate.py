@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 
-from .distributions import family_spec
+from .distributions import _positive_int, family_spec
 from .estimation import monte_carlo_mse
 from .rounding import HALF_UP, RoundingScheme
 from . import tableio
@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not self.param_grid or not self.n_list:
             raise ValueError("param_grid and n_list must be non-empty")
+        for n in self.n_list:
+            _positive_int(n, "n")
         self._fixed()
 
     def _fixed(self):

@@ -1,12 +1,18 @@
+import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from roundedcounts import (
+    HALF_EVEN,
+    HALF_UP,
     ExcessDeathsDesign,
     Poisson,
+    RoundedPmf,
     RoundingScheme,
     binned_binomial_test,
     excess_moments,
@@ -15,10 +21,37 @@ from roundedcounts import (
     rounded_pmf,
     true_significance,
 )
-from roundedcounts import applications
-from roundedcounts.applications import _significance_levels
+from roundedcounts.cli import main
+from roundedcounts.tableio import read_csv
 
 PHI0_GRID = [round(0.1 + 0.05 * i, 10) for i in range(17)]
+
+
+def lattice_probs(m, n, phi0, tie_rule=HALF_UP):
+    """Oracle: P(U = n*v) for every lattice index v of the m*n-trial
+    binomial, by enumerating its whole support."""
+    ks = np.arange(m * n + 1)
+    return np.bincount(round_count(ks, n, tie_rule), weights=stats.binom.pmf(ks, m * n, phi0))
+
+
+def full_support_misspecified_level(m, n, phi0, alpha, tie_rule=HALF_UP):
+    """Oracle: mass of the lattice points the normal test for Y rejects."""
+    probs, total = lattice_probs(m, n, phi0, tie_rule), m * n
+    half = stats.norm.ppf(1 - alpha / 2) * math.sqrt(total * phi0 * (1 - phi0))
+    outside = np.abs(n * np.arange(probs.size) - total * phi0) > half
+    return math.fsum(probs[outside])
+
+
+def full_support_cuts(m, n, phi0, alpha, tie_rule=HALF_UP):
+    """Oracle: cuts and level of the binned test from the full lattice pmf."""
+    probs = lattice_probs(m, n, phi0, tie_rule)
+    lower_tail, upper_tail = np.cumsum(probs), np.cumsum(probs[::-1])[::-1]
+    lower = np.nonzero(lower_tail <= alpha / 2)[0]
+    upper = np.nonzero(upper_tail <= alpha / 2)[0]
+    level = (lower_tail[lower[-1]] if lower.size else 0.0) + (
+        upper_tail[upper[0]] if upper.size else 0.0)
+    return (n * int(lower[-1]) if lower.size else None,
+            n * int(upper[0]) if upper.size else None, level)
 
 
 def joint_lattice_moments(theta, beta, n1, n2):
@@ -118,17 +151,41 @@ class TestTrueSignificance:
         curve = true_significance(500, 31, [0.2], 0.05, "misspecified-u")
         assert curve.true_level[0] == pytest.approx(0.029316, abs=5e-4)
 
-    @pytest.mark.parametrize("phi0", [0.02, 0.1, 0.5, 0.9, 0.98])
-    @pytest.mark.parametrize("m, n", [(1, 31), (2, 31), (3, 10), (50, 5)])
-    def test_misspecified_level_matches_the_full_support(self, m, n, phi0):
-        total, alpha = m * n, 0.05
-        ks = np.arange(total + 1)
-        probs = np.bincount(round_count(ks, n), weights=stats.binom.pmf(ks, total, phi0))
-        half = stats.norm.ppf(1 - alpha / 2) * math.sqrt(total * phi0 * (1 - phi0))
-        support = n * np.arange(probs.size)
-        outside = np.abs(support - total * phi0) > half
+    @pytest.mark.parametrize("m, n, phi0, alpha", [
+        *[(m, n, phi0, 0.05) for m, n in [(1, 31), (2, 31), (3, 10), (50, 5)]
+          for phi0 in [0.02, 0.1, 0.5, 0.9, 0.98]],
+        # a level of 3.7e-13, all of it beyond the 1e-12 quantile of Y
+        (1000, 2, 0.8141, 1e-13),
+    ])
+    def test_misspecified_level_matches_the_full_support(self, m, n, phi0, alpha):
         curve = true_significance(m, n, [phi0], alpha, "misspecified-u")
-        assert curve.true_level[0] == pytest.approx(math.fsum(probs[outside]), abs=1e-14)
+        level = full_support_misspecified_level(m, n, phi0, alpha)
+        assert curve.true_level[0] == pytest.approx(level, abs=1e-14)
+
+    @pytest.mark.parametrize("tie_rule", [HALF_UP, HALF_EVEN])
+    def test_misspecified_far_tail_level_matches_mpmath(self, tie_rule):
+        # All of this level (3.7e-13) lies beyond the 1e-12 quantiles of Y.
+        m, n, phi0, alpha = 1000, 2, 0.8141, 1e-13
+        total = m * n
+        us = n * round_count(np.arange(total + 1), n, tie_rule)
+        half = stats.norm.ppf(1 - alpha / 2) * math.sqrt(total * phi0 * (1 - phi0))
+        outside = np.nonzero(np.abs(us - total * phi0) > half)[0].tolist()
+        with mpmath.workdps(40):
+            p = mpmath.mpf(phi0)
+            level = float(mpmath.fsum(mpmath.binomial(total, k) * p**k * (1 - p)**(total - k)
+                                      for k in outside))
+        curve = true_significance(m, n, [phi0], alpha, "misspecified-u", tie_rule)
+        assert curve.true_level[0] == pytest.approx(level, rel=1e-9, abs=0.0)
+        assert level == pytest.approx(3.73e-13, rel=1e-2)
+
+    @pytest.mark.parametrize("m, n, phi0, alpha, mode", [
+        # no lattice point in 364 -+ 99 (points 244 apart): the two tails of
+        # Binomial(2,960,452, 1.2e-4) at 365 add up to 1 - 2.1e-12
+        (12133, 244, 0.00012291595683208096, 2.1208647368085674e-07, "misspecified-u"),
+        (4, 1, 0.3, 0.99, "exact-y"),  # no integer in 1.2 -+ 0.012
+    ])
+    def test_level_is_one_when_nothing_is_accepted(self, m, n, phi0, alpha, mode):
+        assert true_significance(m, n, [phi0], alpha, mode, HALF_EVEN).true_level[0] == 1.0
 
     def test_degenerate_grouping_matches_exact(self):
         exact = true_significance(500, 1, PHI0_GRID, 0.05, "exact-y")
@@ -149,32 +206,35 @@ class TestTrueSignificance:
         with pytest.raises(ValueError):
             true_significance(500, 31, [0.5], 0.05, "bogus-mode")
 
-    @pytest.mark.parametrize("mode, tables", [("exact-y", 0), ("misspecified-u", 1),
-                                              ("binned-u", 2)])
-    def test_alpha_list_shares_each_table(self, monkeypatch, mode, tables):
-        # binned-u tabulates to alpha/2 once alpha/2 < 1e-12, so 1e-13 needs a
-        # table of its own; the other alphas share one per phi0.
-        alphas = [1e-13, 0.01, 0.05, 0.1]
-        built = []
+    @pytest.mark.parametrize("tie_rule", [HALF_UP, HALF_EVEN])
+    @pytest.mark.parametrize("mode", ["exact-y", "misspecified-u", "binned-u"])
+    def test_levels_build_no_table_of_u(self, monkeypatch, mode, tie_rule):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table of U was built")
 
-        def counted(*args):
-            built.append(args)
-            return rounded_pmf(*args)
+        monkeypatch.setattr(RoundedPmf, "__init__", refuse)
+        for alpha in (1e-13, 0.05):
+            true_significance(500, 30, PHI0_GRID, alpha, mode, tie_rule)
+            binned_binomial_test(0, 500, 30, 0.3, alpha, tie_rule)
 
-        monkeypatch.setattr(applications, "rounded_pmf", counted)
-        levels = _significance_levels(500, 31, PHI0_GRID, alphas, mode)
-        assert len(built) == tables * len(PHI0_GRID)
-        for row, alpha in zip(levels, alphas):
-            assert np.array_equal(row, true_significance(500, 31, PHI0_GRID, alpha, mode).true_level)
+    def test_alpha_list_is_one_curve_per_alpha(self, capsys):
+        modes, alphas = ["exact-y", "misspecified-u", "binned-u"], [1e-13, 0.01, 0.05, 0.1]
+        grid = ",".join(map(str, PHI0_GRID))
+        assert main(["true-significance", "--m", "500", "--n", "31", "--phi0-grid", grid,
+                     "--alpha-list", ",".join(map(str, alphas)),
+                     "--modes", ",".join(modes)]) == 0
+        _, _, rows = read_csv(io.StringIO(capsys.readouterr().out))
+        expected = [[mode, alpha, phi0, level]
+                    for mode in modes for alpha in alphas
+                    for phi0, level in zip(PHI0_GRID, true_significance(
+                        500, 31, PHI0_GRID, alpha, mode).true_level)]
+        assert rows == expected
 
 
-@pytest.mark.parametrize("phi0_grid, alphas", [([], [0.05]), (PHI0_GRID, []), ([], [])])
-def test_significance_levels_refuse_empty_lists(phi0_grid, alphas):
+@pytest.mark.parametrize("mode", ["exact-y", "misspecified-u", "binned-u"])
+def test_true_significance_refuses_an_empty_grid(mode):
     with pytest.raises(ValueError, match="non-empty"):
-        _significance_levels(500, 31, phi0_grid, alphas, "exact-y")
-    if alphas:
-        with pytest.raises(ValueError, match="non-empty"):
-            true_significance(500, 31, phi0_grid, alphas[0], "binned-u")
+        true_significance(500, 31, [], 0.05, mode)
 
 
 class TestBinnedTest:
@@ -216,23 +276,40 @@ class TestBinnedTest:
         mid = binned_binomial_test(center, 500, 31, 0.5, 0.05)
         assert not mid.reject
 
-    @pytest.mark.parametrize("alpha", [0.05, 1e-13])
-    @pytest.mark.parametrize("phi0", [0.02, 0.1, 0.5, 0.9, 0.98])
-    @pytest.mark.parametrize("m, n", [(1, 31), (2, 31), (3, 10), (50, 5)])
+    @pytest.mark.parametrize("m, n, phi0, alpha", [
+        *[(m, n, phi0, alpha) for m, n in [(1, 31), (2, 31), (3, 10), (50, 5)]
+          for phi0 in [0.02, 0.1, 0.5, 0.9, 0.98] for alpha in [0.05, 1e-13]],
+        # cuts on a lattice point whose tail underflows to 0
+        (1, 1000, 0.96, 0.05), (1, 1000, 0.0359, 0.9),
+    ])
     def test_cuts_match_the_full_support(self, m, n, phi0, alpha):
         # These include cuts on the lattice point just past either end of the
-        # tabulated window (e.g. m=1, n=31, phi0=0.02 has its upper cut at 31).
-        total = m * n
-        ks = np.arange(total + 1)
-        probs = np.bincount(round_count(ks, n), weights=stats.binom.pmf(ks, total, phi0))
-        lower = np.nonzero(np.cumsum(probs) <= alpha / 2)[0]
-        upper = np.nonzero(np.cumsum(probs[::-1])[::-1] <= alpha / 2)[0]
+        # 1e-12 window of Y (e.g. m=1, n=31, phi0=0.02 has its upper cut at 31).
         res = binned_binomial_test(0, m, n, phi0, alpha)
-        assert res.lower_cut == (n * int(lower[-1]) if lower.size else None)
-        assert res.upper_cut == (n * int(upper[0]) if upper.size else None)
-        level = (np.cumsum(probs)[lower[-1]] if lower.size else 0.0) + (
-            np.cumsum(probs[::-1])[::-1][upper[0]] if upper.size else 0.0)
+        lower, upper, level = full_support_cuts(m, n, phi0, alpha)
+        assert (res.lower_cut, res.upper_cut) == (lower, upper)
         assert res.true_level == pytest.approx(level, rel=1e-9, abs=1e-15)
+        for cut in (lower, upper):
+            if cut is not None:
+                assert binned_binomial_test(cut, m, n, phi0, alpha).reject
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(m=st.integers(1, 200), n=st.integers(1, 1000),
+           phi0=st.one_of(st.floats(1e-5, 0.99999), st.floats(1e-7, 1e-3),
+                          st.floats(1e-7, 1e-3).map(lambda q: 1.0 - q)),
+           log_alpha=st.floats(-13.0, math.log10(0.99)),
+           tie_rule=st.sampled_from([HALF_UP, HALF_EVEN]))
+    def test_levels_and_cuts_match_the_full_support_property(self, m, n, phi0, log_alpha, tie_rule):
+        alpha = 10.0**log_alpha
+        res = binned_binomial_test(0, m, n, phi0, alpha, tie_rule)
+        lower, upper, level = full_support_cuts(m, n, phi0, alpha, tie_rule)
+        assert (res.lower_cut, res.upper_cut) == (lower, upper)
+        assert res.true_level == pytest.approx(level, rel=1e-9, abs=1e-15)
+        curve = true_significance(m, n, [phi0], alpha, "binned-u", tie_rule)
+        assert curve.true_level[0] == res.true_level
+        curve = true_significance(m, n, [phi0], alpha, "misspecified-u", tie_rule)
+        level = full_support_misspecified_level(m, n, phi0, alpha, tie_rule)
+        assert curve.true_level[0] == pytest.approx(level, rel=1e-9, abs=1e-15)
 
     def test_small_alpha_can_empty_a_tail(self):
         # tiny alpha with a short lattice: no lower cut exists

@@ -374,6 +374,8 @@ def test_inapplicable_mse_sim_estimator_is_a_flagged_row(capsys):
     (["mse-ratio", "--dist", "poisson", "--param-grid", "1"], "--n-list"),
     (["excess-deaths", "--n1", "7", "--n2", "14"], "--u1/--u2"),
     (["excess-deaths", "--n1", "7", "--n2", "14", "--u1", "7"], "--u1/--u2"),
+    (["excess-deaths", "--u1", "7", "--u2", "14", "--n1", "7", "--n2", "7", "--beta", "3"],
+     "--theta"),
 ])
 def test_missing_required_input_is_usage_error(capsys, argv, needed):
     code, out, err = run_cli(capsys, *argv)

@@ -13,10 +13,13 @@ from roundedcounts import (
     RoundingScheme,
     binned_binomial_test,
     monte_carlo_mse,
+    mse_ratio_curve,
+    poisson_mle_closed,
     rng_substream,
     round_count,
     run_mse_experiment,
     sample_u,
+    true_significance,
 )
 from roundedcounts import tableio
 from roundedcounts.estimation import MC_BLOCK
@@ -157,3 +160,27 @@ def _table_with_other_columns():
 def test_library_refuses_invalid_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# Each count is given as a float; ``count(2.5)`` must be refused, while
+# ``count(2.0)`` must give what ``count(2)`` gives (floats compared with ==).
+_COUNT_CALLS = {
+    "true-significance-n": lambda c: true_significance(500, c(31), [0.2, 0.5], 0.05,
+                                                       "misspecified-u").true_level.tolist(),
+    "true-significance-m": lambda c: true_significance(c(500), 31, [0.2, 0.5], 0.05,
+                                                       "binned-u").true_level.tolist(),
+    "binned-test-m": lambda c: binned_binomial_test(0, c(40), 1, 0.3, 0.05),
+    "binned-test-n": lambda c: binned_binomial_test(0, 40, c(2), 0.3, 0.05),
+    "poisson-mle-closed": lambda c: poisson_mle_closed(4, c(2)),
+    "mse-ratio-curve": lambda c: mse_ratio_curve("poisson", [2.0], [c(2)]).psi.tolist(),
+    "experiment-config": lambda c: run_mse_experiment(ExperimentConfig(
+        seed=3, param_grid=(1.0,), n_list=(c(2),), reps=50)).to_rows(),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+def test_non_integer_counts_are_refused(name):
+    call = _COUNT_CALLS[name]
+    with pytest.raises(ValueError, match="must be a positive integer, got [0-9.]*5"):
+        call(lambda count: count + 0.5)
+    assert call(float) == call(int)

@@ -3,7 +3,8 @@
 Prints the total lines of the Python files under ``src/`` and their code
 lines, which leave out blank lines, comment-only lines and the lines of
 docstrings (a string literal that opens a module, class or function
-body)::
+body), then the same two counts for each file, so a change in size can be
+traced to the modules it touched::
 
     python tools/loc.py            # counts src/ of this checkout
     python tools/loc.py path/src   # counts another tree
@@ -46,11 +47,12 @@ def count(source: str) -> tuple[int, int]:
 
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else ROOT / "src"
-    total = code = 0
-    for path in sorted(src.rglob("*.py")):
-        t, c = count(path.read_text(encoding="utf-8"))
-        total, code = total + t, code + c
+    counts = {path.relative_to(src): count(path.read_text(encoding="utf-8"))
+              for path in sorted(src.rglob("*.py"))}
+    total, code = (sum(column) for column in zip(*counts.values())) if counts else (0, 0)
     print(f"{src}: {total:,} lines, {code:,} code lines")
+    for path, (t, c) in counts.items():
+        print(f"  {path.as_posix()}: {t:,} lines, {c:,} code lines")
     return 0
 
 
