@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from roundedcounts import Binomial, NegativeBinomial, Poisson
+from roundedcounts.distributions import _temme_p
 
 ALL_MODELS = [Poisson(0.5), Poisson(2.0), Poisson(7.3), Binomial(20, 0.35),
               Binomial(4, 0.3), NegativeBinomial(5, 0.4)]
@@ -205,6 +206,18 @@ def test_binomial_tails_at_large_trials_match_mpmath(z):
     assert abs(model.sf(k) / sf - 1) < 1e-11
 
 
+# Found comparing significance levels on random models: near the middle the
+# incomplete beta form of the lower tail is 3.9e-12 relative low (0.5371447388491211
+# against 0.537144738851207), while sf matches.  This passes, and the marker has
+# to go, once each family evaluates its smaller tail directly and the larger one
+# as its complement.
+@pytest.mark.xfail(strict=True, reason="betainc loses accuracy in the binomial middle")
+def test_binomial_cdf_near_the_middle_matches_mpmath():
+    model, k = Binomial(2_960_452, 1.2291595683208096e-4), 365
+    cdf, _ = mp_binomial_tails(model.trials, model.prob, k)
+    assert abs(model.cdf(k) / cdf - 1) < 1e-13
+
+
 @pytest.mark.parametrize("z", [-8.0, 0.0, 8.0])
 def test_negative_binomial_tails_at_fractional_size_match_mpmath(z):
     model = NegativeBinomial(200.5, 0.3)
@@ -233,8 +246,15 @@ def test_tails_outside_the_support(model):
 def reference_tails(model, k):
     k = np.floor(k)
     if isinstance(model, Poisson):
-        return (np.where(k < 0, 0.0, special.pdtr(np.maximum(k, 0.0), model.theta))[()],
-                np.where(k < 0, 1.0, special.pdtrc(np.maximum(k, 0.0), model.theta))[()])
+        # pdtrc, but Temme's expansion from a mean of 1e5 at a = k + 1 >= mean +
+        # 4.5*sqrt(a), a finite; evaluated as an array even for a scalar k.
+        inner, theta = np.maximum(k, 0.0), model.theta
+        a = np.array(inner + 1.0, ndmin=1)
+        far = (theta >= 1e5) & (a - theta >= 4.5 * np.sqrt(a)) & np.isfinite(a)
+        sf = np.array(special.pdtrc(inner, theta), ndmin=1)
+        sf[far] = _temme_p(a[far], theta)
+        return (np.where(k < 0, 0.0, special.pdtr(inner, theta))[()],
+                np.where(k < 0, 1.0, sf.reshape(np.shape(k)))[()])
     if isinstance(model, Binomial):
         inner = np.minimum(np.maximum(k, 0.0), model.trials - 1.0)
         cdf = special.betainc(model.trials - inner, inner + 1.0, 1.0 - model.prob)
@@ -386,25 +406,76 @@ def test_support_window_makes_few_tail_calls(monkeypatch):
 
 
 def mp_poisson_sf(theta, k):
-    """P(Y > k) for Y ~ Poisson(theta) as a 40-digit sum of the pmf terms
-    (mpmath's own gammainc stops converging near theta = 1e7)."""
+    """P(Y > k) for Y ~ Poisson(theta) at 40 digits: the sum of the pmf terms
+    from k + 1, theta**(k+1) exp(-theta)/(k+1)! * 1F1(1; k+2; theta), which
+    mpmath's hyp1f1 adds up in fixed point (its gammainc stops converging
+    near theta = 1e7)."""
     with mp.workdps(40):
-        theta, j = mp.mpf(theta), k + 1
-        term = mp.exp(j * mp.log(theta) - theta - mp.loggamma(j + 1))
-        tail = mp.mpf(0)
-        while term > tail * mp.mpf(10) ** -42:
-            tail += term
-            j += 1
-            term *= theta / j
-        return tail
+        theta = mp.mpf(theta)
+        head = mp.exp((k + 1) * mp.log(theta) - theta - mp.loggamma(k + 2))
+        return head * mp.hyp1f1(1, k + 2, theta, maxterms=10**8)
 
 
 # scipy.special.pdtrc (scipy 1.17.1) loses accuracy in the upper tail once the
 # mean passes about 3e5: at z = 5 it is off by 4.6e-6 relative at 1e6 and by
-# 3.1e-2 at 1e7.  Poisson.sf inherits the error until a large-mean tail replaces
-# it; this test then passes and the marker has to go.
-@pytest.mark.xfail(strict=True, reason="scipy.special.pdtrc is inaccurate at large means")
+# 3.1e-2 at 1e7.  Poisson.sf takes Temme's expansion there.
 @pytest.mark.parametrize("theta", [1e6, 1e7])
 def test_poisson_upper_tail_at_large_means_matches_mpmath(theta):
     k = math.floor(theta + 5.0 * math.sqrt(theta))
     assert abs(Poisson(theta).sf(k) / mp_poisson_sf(theta, k) - 1) < 1e-9
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.floats(5.0, 8.0), st.floats(4.0, 9.0))
+def test_poisson_upper_tail_matches_mpmath_property(log_theta, z):
+    # z from 4 to 9 spans the switch to Temme's expansion at about 4.5.
+    theta = 10.0 ** log_theta
+    k = math.floor(theta + z * math.sqrt(theta))
+    assert abs(Poisson(theta).sf(k) / mp_poisson_sf(theta, k) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [1e5, 1e6])
+@pytest.mark.parametrize("z", [20.0, 37.0])
+def test_poisson_deep_upper_tail_matches_mpmath(theta, z):
+    # Out to the 1e-300 quantile, where v = (k + 1 - theta)/(k + 1 + theta)
+    # reaches 0.06 and the exponent needs every term of its series.
+    k = math.floor(theta + z * math.sqrt(theta))
+    assert abs(Poisson(theta).sf(k) / mp_poisson_sf(theta, k) - 1) < 1e-12
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.floats(1e5, 2e5))
+def test_poisson_tail_formulas_agree_at_the_switch(theta):
+    # Here pdtrc is still accurate, so at the first k that takes Temme's
+    # expansion, and the one before it, both formulas give the same tail.
+    k = math.floor(theta + 4.5 * math.sqrt(theta))
+    while k + 1.0 - theta < 4.5 * math.sqrt(k + 1.0):
+        k += 1
+    model = Poisson(theta)
+    assert model.sf(k - 1) == special.pdtrc(k - 1, theta)
+    assert model.sf(k) == _temme_p(k + 1.0, theta)
+    for j in (k - 1, k):
+        assert abs(_temme_p(j + 1.0, theta) / special.pdtrc(j, theta) - 1) < 1e-13
+
+
+@pytest.mark.parametrize("theta", [1e5, 1e9])
+def test_poisson_sf_underflows_where_the_bd0_series_falls_short(theta):
+    # From v = (k + 1 - theta)/(k + 1 + theta) = 0.1 on, the exponent's series
+    # understates it, but the tail is far below the smallest double.
+    k = math.ceil(theta * 11.0 / 9.0)
+    assert mp_poisson_sf(theta, k) < mp.mpf(10) ** -1000
+    assert Poisson(theta).sf(k) == 0.0 and Poisson(theta).sf(float(k)) == 0.0
+
+
+@pytest.mark.parametrize("theta", [99_999.9, 1e5, 3.3e5, 1e7, 1e18])
+def test_poisson_sf_scalar_and_array_agree_bitwise(theta):
+    ks = np.floor(theta + np.linspace(-9.0, 40.0, 400) * math.sqrt(theta))
+    ks = np.concatenate((ks, [0.0, 1e20, 1e300, math.inf, math.nan]))
+    model = Poisson(theta)
+    with np.errstate(invalid="ignore"):
+        scalars = np.array([model.sf(float(k)) for k in ks])
+        raw = np.array([model._sf_at(float(k)) for k in ks])
+        assert scalars.tobytes() == model.sf(ks).tobytes()
+        assert raw.tobytes() == model._sf_at(ks).tobytes()
+        if theta < 1e5:
+            assert raw.tobytes() == special.pdtrc(ks, theta).tobytes()

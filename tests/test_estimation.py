@@ -423,11 +423,7 @@ class TestExactExpectationAccuracy:
     """The expectations weight each rounded total by its entry in the table of
     ``rounded_pmf`` at the call's scheme, a difference of the accurate tails."""
 
-    @pytest.mark.parametrize("model", [
-        *_LARGE_MODELS,
-        pytest.param(Poisson(1e7), marks=pytest.mark.xfail(
-            strict=True, reason="scipy.special.pdtrc is inaccurate at large means")),
-    ], ids=repr)
+    @pytest.mark.parametrize("model", [*_LARGE_MODELS, Poisson(1e7)], ids=repr)
     def test_identity_mse_is_the_variance(self, model):
         # The negative binomial's heavy upper tail beyond the 1e-12 quantile
         # holds 1e-8 of its variance, so it is enumerated further out.

@@ -341,8 +341,10 @@ class TestWindow:
         assert table.truncation_mass == table.mass_below + table.mass_above
 
     def test_large_mean_is_served_from_a_window(self):
+        # The window's upper end 1000222458 is the first k with P(Y > k) < 1e-12
+        # by a 40-digit sum: 1.0001e-12 at k - 1 and 9.9988e-13 at k.
         table = rounded_pmf(Poisson(1e9), RoundingScheme(3))
-        assert len(table.probs) == 146_786
+        assert len(table.probs) == 148_301
         assert table.total() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", [Poisson(50.0), Binomial(40, 0.5), NegativeBinomial(3.0, 0.4)],

@@ -8,10 +8,10 @@ suite, as ROADMAP.md gives it, with nothing skipped or deselected::
     python tools/tier1.py
 
 It prints pytest's summary line and exits 0 only when the failures are
-exactly those two tests, the tests reported as xfailed are exactly the three
-strict xfails that record the scipy Poisson tail defect (ROADMAP open item
-3), and nothing errors, collection included.  So a lost xfail (deleted,
-renamed or skipped) cannot hide that defect.
+exactly those two tests, the tests reported as xfailed are exactly the
+strict xfail that records the binomial tail defect near the middle (ROADMAP
+open item 3), and nothing errors, collection included.  So a lost xfail
+(deleted, renamed or skipped) cannot hide that defect.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ EXPECTED_FAILURES = {
 }
 
 EXPECTED_XFAILS = {
-    "tests/test_distributions.py::test_poisson_upper_tail_at_large_means_matches_mpmath[1000000.0]",
-    "tests/test_distributions.py::test_poisson_upper_tail_at_large_means_matches_mpmath[10000000.0]",
-    "tests/test_estimation.py::TestExactExpectationAccuracy::"
-    "test_identity_mse_is_the_variance[Poisson(theta=10000000.0)]",
+    "tests/test_distributions.py::test_binomial_cdf_near_the_middle_matches_mpmath",
 }
 
-# pytest's last line, e.g. "2 failed, 621 passed, 3 xfailed in 23.64s".
+# pytest's last line, e.g. "2 failed, 704 passed, 1 xfailed in 19.80s".
 _SUMMARY = re.compile(r"^=*\s*(\d+ \w+.* in [\d.]+s.*?)\s*=*$")
 
 
