@@ -72,6 +72,8 @@ from .rounding import (
     NearRootOfUnityError,
     NumericalInconsistencyError,
     RoundingScheme,
+    _latent_window,
+    _table_over,
     rounded_moments_series,
     rounded_pgf,
     rounded_pmf,
@@ -299,8 +301,9 @@ def _cmd_pmf(args, seed):
     config = {**model_cfg, "n_list": ",".join(map(str, args.n_list)), "tie_rule": args.tie_rule,
               "tail_eps": args.tail_eps, "seed": seed}
     rows = []
+    window = _latent_window(model, args.tail_eps)
     for n in args.n_list:
-        table = rounded_pmf(model, RoundingScheme(n, args.tie_rule), args.tail_eps)
+        table = _table_over(model, RoundingScheme(n, args.tie_rule), window)
         config[f"truncation_mass_n{n}"] = table.truncation_mass
         rows.extend([n, int(u), float(p)] for u, p in table.items())
     return config, ["n", "u", "prob"], rows
@@ -380,7 +383,7 @@ def _cmd_mse_exact(args, seed):
             target = getattr(model, spec.fitted)
             scheme = RoundingScheme(n, args.tie_rule)
             loss = _squared_error(_estimator_fn(args.estimator, model, scheme), target)
-            mse = _expectation(loss, model, scheme, TAIL_EPS)
+            mse = _expectation(loss, rounded_pmf(model, scheme, TAIL_EPS))
             rows.append([args.dist, param, n, args.estimator, mse])
     config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
               "n_list": ",".join(map(str, args.n_list)), "estimator": args.estimator,

@@ -4,7 +4,9 @@ Estimation here is interval-censored: observing u only reveals that the
 latent count fell in the block of values rounding to u, so the likelihood
 is the block-summed ("binned") pmf.  Its maximizer has a closed form for
 every family: the geometric mean of the block's single-point estimates on
-the family's own scale, or a boundary value.  The module also provides
+the family's own scale, or a boundary value.  The log-likelihood the fits
+report is that block's probability read off two latent tails
+(``rounded_logpmf``).  The module also provides
 exact mean squared errors, summed over the table of U from ``rounded_pmf``,
 Monte Carlo mean squared errors, and the rounded-versus-unrounded MSE
 ratio curves used to quantify the inferential cost of rounding.
@@ -22,9 +24,12 @@ from .distributions import FAMILIES, CountDistribution, Poisson, _positive_int, 
 from .rounding import (
     HALF_UP,
     TAIL_EPS,
+    RoundedPmf,
     RoundingScheme,
     _block_bounds,
-    rounded_logpmf,
+    _block_logpmf,
+    _latent_window,
+    _table_over,
     rounded_pmf,
     sample_u,
     support_block,
@@ -79,7 +84,7 @@ def poisson_mle_closed(u, n: int) -> Estimate:
     block = support_block(u, scheme)
     lo, hi = _positive(block.start, block.stop - 1)
     value = float(FAMILIES["poisson"].block_mle(np.arange(lo, hi + 1, dtype=float)[None], None)[0])
-    loglik = rounded_logpmf(Poisson(value), scheme, u) if value > 0 else 0.0
+    loglik = _block_logpmf(Poisson(value), block.start, block.stop - 1) if value > 0 else 0.0
     return Estimate(value=value, method="closed-form", loglik_at_optimum=loglik)
 
 
@@ -114,7 +119,8 @@ def numeric_mle(u, scheme: RoundingScheme, family: str = "poisson", *,
     if math.isnan(value):
         raise _no_maximum(u)
     # A zero estimate is the model concentrated at 0, which lies in the block.
-    loglik = rounded_logpmf(spec.make(value, fixed), scheme, u) if value > 0 else 0.0
+    loglik = (_block_logpmf(spec.make(value, fixed), block.start, block.stop - 1)
+              if value > 0 else 0.0)
     return Estimate(value=value, method="numeric", loglik_at_optimum=loglik)
 
 
@@ -132,14 +138,13 @@ def _block_estimates(block_mle, lo: np.ndarray, hi: np.ndarray, fixed) -> np.nda
     return out
 
 
-def _expectation(fn, model: CountDistribution, scheme: RoundingScheme, tail_eps: float) -> float:
-    """Exact E[fn(U)] over the table of ``rounded_pmf`` at the scheme.
+def _expectation(fn, table: RoundedPmf) -> float:
+    """Exact E[fn(U)] over a table of U.
 
     fn maps the sorted array of the table's support points to their values
     and is called once.  The weights sum to 1 minus the table's truncation
     mass; ``rounded_pmf`` refuses empty and oversized windows.
     """
-    table = rounded_pmf(model, scheme, tail_eps)
     return float(np.dot(fn(table.support), table.probs))
 
 
@@ -165,14 +170,14 @@ def exact_mse(estimator: Callable[[int], float], model: CountDistribution,
     per support point.
     """
     loss = _squared_error(_per_total(estimator), true_param)
-    return _expectation(loss, model, scheme, tail_eps)
+    return _expectation(loss, rounded_pmf(model, scheme, tail_eps))
 
 
 def expected_value_exact(fn: Callable[[int], float], model: CountDistribution,
                          scheme: RoundingScheme, tail_eps: float = TAIL_EPS) -> float:
     """Exact E[fn(U)] by enumeration over the table of ``rounded_pmf`` at the
     scheme, the lattice points between the tail_eps-quantiles of Y."""
-    return _expectation(_per_total(fn), model, scheme, tail_eps)
+    return _expectation(_per_total(fn), rounded_pmf(model, scheme, tail_eps))
 
 
 @dataclass
@@ -202,8 +207,9 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     """MSE ratio of the numerically fitted parameter from rounded versus
     unrounded counts, over a parameter grid and a list of group counts.
 
-    Each grid point builds one table of U (``rounded_pmf`` at tail_eps) per
-    distinct group count, n = 1 included, and sums that count's MSE over it,
+    Each grid point finds the latent window of ``rounded_pmf`` at tail_eps
+    once and builds one table of U over it per distinct group count, n = 1
+    included, bit for bit as ``rounded_pmf``, and sums that count's MSE over it,
     with the estimator called once on the table's support; a group count
     listed twice reuses its MSE.  A grid point whose unrounded MSE is 0
     leaves the ratio undefined and raises ValueError.
@@ -218,8 +224,9 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     mse = np.empty((1 + len(n_list), param_grid.size))
     for j, param in enumerate(param_grid):
         model = spec.make(float(param), fixed)
+        window = _latent_window(model, tail_eps)
         by_n = {n: _expectation(_squared_error(_estimator_fn("numeric-mle", model, scheme), param),
-                                model, scheme, tail_eps)
+                                _table_over(model, scheme, window))
                 for n, scheme in schemes.items()}
         if by_n[1] == 0.0:
             raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "

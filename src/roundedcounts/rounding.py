@@ -6,7 +6,8 @@ the lattice {0, n, 2n, ...} and aggregates roughly n consecutive
 probabilities of Y per lattice point.  This module provides:
 
 * exact tabulation of P(U = u) from the latent tails, over the lattice
-  points between two tail quantiles of Y (both tie rules),
+  points between two tail quantiles of Y (both tie rules), and the binned
+  log-likelihood log P(U = u) of one block, read off the same tails,
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only),
 * exact E(U) and Var(U) via the alternating roots-of-unity series, with
@@ -257,12 +258,28 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
     window whose block edges would overflow int64, or a tail_eps above 0.5
     whose quantiles cross raises ValueError.
     """
-    n = scheme.n
+    return _table_over(model, scheme, _latent_window(model, tail_eps))
+
+
+def _latent_window(model: CountDistribution, tail_eps: float) -> tuple[int, int]:
+    """``model.support_window(tail_eps)``, refused when its quantiles cross.
+
+    The window depends on the model alone, so the tables of one model at
+    several group counts share it (``_table_over``).
+    """
     y_lo, y_hi = model.support_window(tail_eps)
     if y_lo > y_hi:
         raise ValueError(f"tail_eps={tail_eps} leaves an empty window: the lower quantile "
                          f"{y_lo} lies above the upper one {y_hi}, as it does for tail_eps "
                          f"above 0.5")
+    return y_lo, y_hi
+
+
+def _table_over(model: CountDistribution, scheme: RoundingScheme,
+                window: tuple[int, int]) -> RoundedPmf:
+    """The table of ``rounded_pmf`` over the latent window (y_lo, y_hi)."""
+    n = scheme.n
+    y_lo, y_hi = window
     # The window ends are Python ints, so a window beyond int64 rounds exactly.
     v_lo, v_hi = round_count(y_lo, n, scheme.tie_rule), round_count(y_hi, n, scheme.tie_rule)
     if v_hi - v_lo + 1 > MAX_TABLE_ENTRIES:
@@ -275,23 +292,91 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
     lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
     # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
     # mean come first and take the cdf, the rest the survival function.
-    edges = np.concatenate(([lo[0] - 1], hi))
+    edges = np.concatenate(([lo[0] - 1], hi)).astype(float)
     split = int(np.searchsorted(hi, model.mean(), side="right"))
-    below = model.cdf(edges[:split + 1])
-    above = model.sf(edges[split:])
+    below = _edge_tails(model, edges[:split + 1], upper=False)
+    above = _edge_tails(model, edges[split:], upper=True)
     probs = np.maximum(np.concatenate((below[1:] - below[:-1], above[:-1] - above[1:])), 0.0)
     return RoundedPmf(n=n, probs=probs, first=int(v_lo), mass_below=float(below[0]),
                       mass_above=float(max(above[-1], 0.0)))
 
 
-def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float:
-    """log P(U = u): log-sum-exp of the latent log-pmf over the block of u.
+def _edge_tails(model: CountDistribution, edges: np.ndarray, upper: bool) -> np.ndarray:
+    """P(Y > k) if upper, else P(Y <= k), at a non-empty increasing float array
+    of the block edges k >= -1 of one table.
 
-    This is the binned log-likelihood used for estimation from a single
-    observed u.
+    Only the first edge can be -1 and only the last one can reach the
+    largest support point, since the window lies inside the support.  Those
+    take their exact values and the raw tail function reads the rest;
+    ``model.cdf``/``sf`` would floor, clip and mask every edge.
+    """
+    top = model.upper_support()
+    below = int(edges[0] < 0)
+    past = int(top is not None and edges[-1] >= top)
+    inside = (model._sf_at if upper else model._cdf_at)(edges[below:len(edges) - past])
+    if not (below or past):
+        return inside
+    return np.concatenate(([1.0 if upper else 0.0] * below, inside, [0.0 if upper else 1.0] * past))
+
+
+#: The log-likelihood reads a block probability p off two latent tails only
+#: while the larger tail read is at most this many times p, because p
+#: carries the tails' relative error times that ratio.
+TAIL_RATIO_LIMIT = 1e6
+
+#: The smallest block probability the log-likelihood reads off the tails:
+#: below about 1e-246 the binomial tails (``scipy.special.betainc``) lose
+#: all accuracy and return 0 at some k.
+TAIL_ROUTE_MIN_PROB = 1e-200
+
+
+def _edge_tail(model: CountDistribution, k: int, upper: bool) -> float:
+    """``_edge_tails`` at one integer edge k >= -1, on a Python float."""
+    if k < 0:
+        return 1.0 if upper else 0.0
+    top = model.upper_support()
+    if top is not None and k >= top:
+        return 0.0 if upper else 1.0
+    return float((model._sf_at if upper else model._cdf_at)(float(k)))
+
+
+def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
+    """log P(lo <= Y <= hi) for 0 <= lo <= hi: the log-likelihood of a block.
+
+    Split at the mean as in ``rounded_pmf``, the probability p is
+    cdf(hi) - cdf(lo - 1) for a block ending at or below the mean,
+    sf(lo - 1) - sf(hi) for one starting above it, and
+    1 - cdf(lo - 1) - sf(hi) for one around it.  log(p) is returned when p
+    is at least ``TAIL_ROUTE_MIN_PROB`` and the larger tail read is at most
+    ``TAIL_RATIO_LIMIT`` times p.  Otherwise, far out in the tails and for
+    an empty binomial block, it is the log-sum-exp of the latent log-pmf
+    over the block.
+    """
+    mean = model.mean()
+    if hi <= mean:
+        larger = _edge_tail(model, hi, upper=False)
+        p = larger - _edge_tail(model, lo - 1, upper=False)
+    elif lo > mean:
+        larger = _edge_tail(model, lo - 1, upper=True)
+        p = larger - _edge_tail(model, hi, upper=True)
+    else:
+        below, above = _edge_tail(model, lo - 1, upper=False), _edge_tail(model, hi, upper=True)
+        larger, p = max(below, above), 1.0 - below - above
+    if p >= TAIL_ROUTE_MIN_PROB and larger <= TAIL_RATIO_LIMIT * p:
+        return math.log(p)
+    return _logsumexp(model.logpmf(np.arange(lo, hi + 1)))
+
+
+def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float:
+    """log P(U = u), the binned log-likelihood of a single observed u.
+
+    P(U = u) is the probability of the block of latent values that round to
+    u, read off two latent tails at the block's edges (see ``_block_logpmf``);
+    far out in the tails it is the log-sum-exp of the latent log-pmf over
+    the block.
     """
     block = support_block(u, scheme)
-    return _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
+    return _block_logpmf(model, block.start, block.stop - 1)
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -88,11 +88,19 @@ def test_pmf_matches_library(capsys):
         assert prob == expected[u]  # 17-digit serialization is lossless
 
 
-def test_pmf_fig1_preset_panels(capsys):
+def test_pmf_fig1_preset_panels(capsys, monkeypatch):
+    searched = []
+    search = Poisson.support_window
+    monkeypatch.setattr(Poisson, "support_window",
+                        lambda model, eps: searched.append(eps) or search(model, eps))
     code, out, _ = run_cli(capsys, "pmf", "--preset", "fig1")
     assert code == 0
     _, _, rows = read_csv(io.StringIO(out))
     assert {row[0] for row in rows} == {1, 3, 10}
+    assert len(searched) == 1  # one latent window serves every group count
+    for n in (1, 3, 10):
+        assert [[u, p] for m, u, p in rows if m == n] == \
+            [[u, p] for u, p in rounded_pmf(Poisson(2.0), RoundingScheme(n)).items()]
 
 
 def test_moments_output(capsys):

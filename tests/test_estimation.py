@@ -22,11 +22,12 @@ from roundedcounts import (
     poisson_mle_closed,
     rng_substream,
     round_count,
+    rounded_logpmf,
     rounded_pmf,
     sample_u,
     support_block,
 )
-from roundedcounts import estimation
+from roundedcounts import estimation, rounding
 from roundedcounts.distributions import family_spec
 from roundedcounts.estimation import MC_BLOCK, _estimator_fn
 from roundedcounts.rounding import TAIL_EPS
@@ -63,6 +64,11 @@ class TestClosedForm:
     def test_off_lattice_rejected(self):
         with pytest.raises(ValueError):
             poisson_mle_closed(4, 3)
+
+    @pytest.mark.parametrize("n, v", [(1, 7), (3, 0), (5, 6), (50, 1), (7, 14_286)])
+    def test_loglik_is_rounded_logpmf_bit_for_bit(self, n, v):
+        est = poisson_mle_closed(n * v, n)
+        assert est.loglik_at_optimum == rounded_logpmf(Poisson(est.value), RoundingScheme(n), n * v)
 
 
 class TestNumeric:
@@ -163,6 +169,9 @@ class TestClosedFormMle:
         est = numeric_mle(u, RoundingScheme(n), family, **kwargs)
         assert est.value == want
         assert est.loglik_at_optimum == 0.0
+        if want > 0:  # the model at the boundary sits on one point of the block
+            model = family_spec(family).make(want, fixed)
+            assert rounded_logpmf(model, RoundingScheme(n), u) == 0.0
 
     def test_large_poisson_total_is_exact(self):
         # The block 3e9-1..3e9+1 has geometric mean m (1 - 1/m^2)^(1/3), m = 3e9,
@@ -195,6 +204,11 @@ class TestClosedFormMle:
         at = block_loglik(family, [est.value], u, scheme.n, scheme.tie_rule, fixed)[0]
         assert at >= best - 1e-9
         assert est.loglik_at_optimum == pytest.approx(at, abs=1e-9)
+        if est.value > 0:
+            model = family_spec(family).make(est.value, fixed)
+            assert est.loglik_at_optimum == rounded_logpmf(model, scheme, u)
+        else:
+            assert est.loglik_at_optimum == 0.0
 
     @pytest.mark.parametrize("family", ["binomial", "negbinomial"])
     def test_ratio_curve_requires_fixed_parameter(self, family):
@@ -313,7 +327,7 @@ def estimator_exact_mse(name, model, scheme, true_param):
     """The exact MSE of a named estimator through its array function, as the
     mse-exact command computes it."""
     loss = estimation._squared_error(_estimator_fn(name, model, scheme), true_param)
-    return estimation._expectation(loss, model, scheme, TAIL_EPS)
+    return estimation._expectation(loss, rounded_pmf(model, scheme, TAIL_EPS))
 
 
 def latent_expectation(fn, model, scheme, tail_eps=1e-16):
@@ -329,14 +343,17 @@ def latent_expectation(fn, model, scheme, tail_eps=1e-16):
 
 @pytest.fixture
 def built_tables(monkeypatch):
-    """The tables ``estimation`` builds through ``rounded_pmf``, in order."""
+    """The tables ``estimation`` builds, through ``rounded_pmf`` or over a
+    shared latent window, in order."""
     built = []
+    table_over = rounding._table_over
 
-    def recording_rounded_pmf(*args):
-        built.append(rounded_pmf(*args))
+    def recording_table_over(*args):
+        built.append(table_over(*args))
         return built[-1]
 
-    monkeypatch.setattr(estimation, "rounded_pmf", recording_rounded_pmf)
+    monkeypatch.setattr(rounding, "_table_over", recording_table_over)
+    monkeypatch.setattr(estimation, "_table_over", recording_table_over)
     return built
 
 
@@ -498,6 +515,14 @@ class TestMseRatio:
         assert sorted(table.n for table in built_tables) == [1, 5]
         assert curve.mse_rounded[0].tobytes() == curve.mse_rounded[1].tobytes()
         assert curve.psi[0].tobytes() == curve.psi[1].tobytes()
+
+    def test_one_window_search_per_grid_point(self, monkeypatch):
+        searched = []
+        search = NegativeBinomial.support_window
+        monkeypatch.setattr(NegativeBinomial, "support_window",
+                            lambda model, eps: searched.append(eps) or search(model, eps))
+        mse_ratio_curve("negbinomial", [0.3, 0.6], [1, 2, 5, 10], nb_size=5.0)
+        assert searched == [TAIL_EPS, TAIL_EPS]
 
     @pytest.mark.parametrize("family, model_of, fixed", [
         ("poisson", Poisson, {}),

@@ -9,9 +9,10 @@ suite, as ROADMAP.md gives it, with nothing skipped or deselected::
 
 It prints pytest's summary line and exits 0 only when the failures are
 exactly those two tests, the tests reported as xfailed are exactly the
-strict xfail that records the binomial tail defect near the middle (ROADMAP
-open item 3), and nothing errors, collection included.  So a lost xfail
-(deleted, renamed or skipped) cannot hide that defect.
+strict xfails that record the binomial tail defects (ROADMAP open item 3:
+the lower tail near the middle and far below it), and nothing errors,
+collection included.  So a lost xfail (deleted, renamed or skipped) cannot
+hide either defect.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ EXPECTED_FAILURES = {
 
 EXPECTED_XFAILS = {
     "tests/test_distributions.py::test_binomial_cdf_near_the_middle_matches_mpmath",
+    "tests/test_distributions.py::test_binomial_lower_tail_matches_mpmath",
 }
 
-# pytest's last line, e.g. "2 failed, 704 passed, 1 xfailed in 19.80s".
+# pytest's last line, e.g. "2 failed, 704 passed, 2 xfailed in 19.80s".
 _SUMMARY = re.compile(r"^=*\s*(\d+ \w+.* in [\d.]+s.*?)\s*=*$")
 
 
