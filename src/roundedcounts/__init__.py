@@ -54,7 +54,7 @@ from .rounding import (
     sample_u,
     support_block,
 )
-from .sampling import rng_substream
+from .sampling import sample_tally
 from .simulate import ExperimentConfig, ResultRow, ResultTable, run_mse_experiment
 
 __version__ = "0.1.0"
@@ -93,7 +93,6 @@ __all__ = [
     "mse_ratio_curve",
     "numeric_mle",
     "poisson_mle_closed",
-    "rng_substream",
     "round_count",
     "rounded_logpmf",
     "rounded_moments_binomial",
@@ -103,6 +102,7 @@ __all__ = [
     "rounded_pmf",
     "roots_of_unity",
     "run_mse_experiment",
+    "sample_tally",
     "sample_u",
     "support_block",
     "true_significance",

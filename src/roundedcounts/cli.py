@@ -57,9 +57,7 @@ from .distributions import FAMILIES
 from .estimation import (
     _ESTIMATOR_NAMES,
     NoMaximumError,
-    _estimator_fn,
-    _expectation,
-    _squared_error,
+    _cell_mse,
     mse_ratio_curve,
     numeric_mle,
     poisson_mle_closed,
@@ -356,40 +354,40 @@ def _cmd_mle(args, seed):
     return config, ["method", "estimate", "loglik"], rows
 
 
-def _cmd_mse_sim(args, seed):
-    param_grid, n_list, reps, estimators = args.param_grid, args.n_list, args.reps, args.estimators
-    if param_grid is None or n_list is None:
-        raise ValueError("--param-grid and --n-list are required without a preset")
-    config_obj = ExperimentConfig(
-        seed=seed, family=args.dist, param_grid=tuple(param_grid), n_list=tuple(n_list),
-        reps=reps, estimators=tuple(estimators.split(",")), tie_rule=args.tie_rule,
-        trials_per_measurement=args.trials_per_measurement, nb_size=args.nb_size,
-    )
-    table = run_mse_experiment(config_obj)
-    config = {"family": args.dist, "param_grid": ",".join(map(str, param_grid)),
-              "n_list": ",".join(map(str, n_list)), "reps": reps, "estimators": estimators,
-              "tie_rule": args.tie_rule, "trials_per_measurement": args.trials_per_measurement,
+def _experiment(args, seed, **fields) -> tuple[ExperimentConfig, dict]:
+    """The experiment that the flags of ``mse-sim`` and ``mse-exact`` describe,
+    and the header entries the two commands share."""
+    experiment = ExperimentConfig(
+        seed=seed, family=args.dist, param_grid=tuple(args.param_grid),
+        n_list=tuple(args.n_list), tie_rule=args.tie_rule,
+        trials_per_measurement=args.trials_per_measurement, nb_size=args.nb_size, **fields)
+    config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
+              "n_list": ",".join(map(str, args.n_list)), "tie_rule": args.tie_rule,
+              "trials_per_measurement": args.trials_per_measurement,
               "nb_size": args.nb_size, "seed": seed}
+    return experiment, config
+
+
+def _cmd_mse_sim(args, seed):
+    if args.param_grid is None or args.n_list is None:
+        raise ValueError("--param-grid and --n-list are required without a preset")
+    experiment, config = _experiment(args, seed, reps=args.reps,
+                                     estimators=tuple(args.estimators.split(",")))
+    table = run_mse_experiment(experiment)
+    config.update(reps=args.reps, estimators=args.estimators)
     return config, list(table.columns), table.to_rows()
 
 
 def _cmd_mse_exact(args, seed):
-    spec = FAMILIES[args.dist]
-    fixed = spec.resolve(trials=args.trials_per_measurement, nb_size=args.nb_size)
+    experiment, config = _experiment(args, seed, estimators=(args.estimator,))
     rows = []
     for param in args.param_grid:
         for n in args.n_list:
-            model = spec.make(param, fixed, n)
-            target = getattr(model, spec.fitted)
-            scheme = RoundingScheme(n, args.tie_rule)
-            loss = _squared_error(_estimator_fn(args.estimator, model, scheme), target)
-            mse = _expectation(loss, rounded_pmf(model, scheme, TAIL_EPS))
+            model, scheme = experiment.model_for(param, n), RoundingScheme(n, args.tie_rule)
+            table = rounded_pmf(model, scheme, TAIL_EPS)
+            mse, _ = _cell_mse(args.estimator, model, scheme, table.support, table.probs)
             rows.append([args.dist, param, n, args.estimator, mse])
-    config = {"family": args.dist, "param_grid": ",".join(map(str, args.param_grid)),
-              "n_list": ",".join(map(str, args.n_list)), "estimator": args.estimator,
-              "tail_eps": TAIL_EPS, "tie_rule": args.tie_rule,
-              "trials_per_measurement": args.trials_per_measurement,
-              "nb_size": args.nb_size, "seed": seed}
+    config.update(estimator=args.estimator, tail_eps=TAIL_EPS)
     return config, ["family", "param", "n", "estimator", "mse"], rows
 
 

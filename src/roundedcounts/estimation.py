@@ -8,8 +8,9 @@ the family's own scale, or a boundary value.  The log-likelihood the fits
 report is that block's probability read off two latent tails
 (``rounded_logpmf``).  The module also provides
 exact mean squared errors, summed over the table of U from ``rounded_pmf``,
-Monte Carlo mean squared errors, and the rounded-versus-unrounded MSE
-ratio curves used to quantify the inferential cost of rounding.
+Monte Carlo mean squared errors over a drawn tally of U, and the
+rounded-versus-unrounded MSE ratio curves used to quantify the inferential
+cost of rounding.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .rounding import (
     _latent_window,
     _table_over,
     rounded_pmf,
-    sample_u,
     support_block,
 )
-from .sampling import rng_substream
+from .sampling import sample_tally
 
 __all__ = [
     "Estimate",
@@ -225,9 +225,10 @@ def mse_ratio_curve(family: str, param_grid, n_list, *, trials: int | None = Non
     for j, param in enumerate(param_grid):
         model = spec.make(float(param), fixed)
         window = _latent_window(model, tail_eps)
-        by_n = {n: _expectation(_squared_error(_estimator_fn("numeric-mle", model, scheme), param),
-                                _table_over(model, scheme, window))
-                for n, scheme in schemes.items()}
+        by_n = {}
+        for n, scheme in schemes.items():
+            table = _table_over(model, scheme, window)
+            by_n[n] = _cell_mse("numeric-mle", model, scheme, table.support, table.probs)[0]
         if by_n[1] == 0.0:
             raise ValueError(f"the unrounded MSE at {spec.fitted}={param} is 0 under "
                              f"tail_eps={tail_eps}, so the MSE ratio is undefined")
@@ -252,10 +253,6 @@ class MonteCarloResult:
 
 _ESTIMATOR_NAMES = ("u", "closed-mle", "numeric-mle")
 
-#: Replicates per substream block: the unit of reproducibility of a Monte
-#: Carlo cell, and the bound on the number of draws held in memory at once.
-MC_BLOCK = 4096
-
 
 def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
     """The named estimator, mapping a sorted array of distinct totals to their
@@ -275,56 +272,54 @@ def _estimator_fn(name: str, model: CountDistribution, scheme: RoundingScheme):
     raise ValueError(f"estimator must be one of {_ESTIMATOR_NAMES}, got {name!r}")
 
 
+def _cell_mse(name: str, model: CountDistribution, scheme: RoundingScheme,
+              us: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """The named estimator's squared errors at the sorted totals us, against
+    the model's own parameter (the rate for Poisson, the success probability
+    otherwise), and their sum weighted by ``weights``: the table's
+    probabilities for the exact MSE, the tally's counts for the simulated one.
+    """
+    sq = _squared_error(_estimator_fn(name, model, scheme),
+                        getattr(model, FAMILIES[model.kind].fitted))(us)
+    return float(np.dot(weights, sq)), sq
+
+
 def monte_carlo_mse(model: CountDistribution, scheme: RoundingScheme, estimators,
                     reps: int, seed: int, stream_key=()) -> list[MonteCarloResult]:
     """Simulated MSE of each estimator against the model's own parameter
     (the rate for Poisson, the success probability otherwise).
 
-    Replicates are drawn in blocks of MC_BLOCK latent counts, block b from
-    the substream (seed, stream_key + (b,)), so the result depends only on
-    (seed, stream_key, reps) and is bitwise reproducible regardless of the
-    order in which blocks are evaluated.  The rounded totals are tallied by
-    distinct value, each estimator is called once on the sorted distinct
-    totals, and the MSE and its standard error are count-weighted sums;
-    memory grows with the block and the number of distinct totals, not with
-    reps.  An estimator that fails on any drawn total yields a flagged result
-    (NaN MSE, the number of replicates it failed on and the error of the
-    smallest such total) rather than being dropped.
+    The cell draws the tally of U over its reps replicates
+    (``sample_tally``) with one generator seeded from
+    (seed, stream_key), so the result depends only on (seed, stream_key,
+    reps) and is bitwise reproducible whatever other cells run.  A cell where
+    both the table and reps exceed ``MAX_TABLE_ENTRIES`` is refused.  Each
+    estimator is called once on the sorted totals drawn, and the MSE and its
+    standard error are count-weighted sums.  An estimator that fails on any
+    drawn total yields a flagged result (NaN MSE, the number of replicates
+    it failed on and the error of the smallest such total) rather than
+    being dropped.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    target = getattr(model, FAMILIES[model.kind].fitted)
+    reps = _positive_int(reps, "reps")
     key = tuple(int(k) for k in (stream_key if np.ndim(stream_key) else (stream_key,)))
-
-    tally: dict[int, int] = {}
-    for b, start in enumerate(range(0, reps, MC_BLOCK)):
-        draws = sample_u(model, scheme, rng_substream(seed, key + (b,)),
-                         size=min(MC_BLOCK, reps - start))
-        values, counts = np.unique(draws, return_counts=True)
-        for u, count in zip(values.tolist(), counts.tolist()):
-            tally[u] = tally.get(u, 0) + count
-    us = np.array(sorted(tally))
-    weights = np.array([tally[u] for u in us.tolist()], dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    us, counts = sample_tally(model, scheme, reps, rng)
 
     results = []
     for name in estimators:
         try:
-            loss = _squared_error(_estimator_fn(name, model, scheme), target)
+            total, sq = _cell_mse(name, model, scheme, us, counts)
         except ValueError as exc:
             failures, message = reps, str(exc)
         else:
-            sq = loss(us)
             failed = np.isnan(sq)
-            failures = int(weights[failed].sum())
+            failures = int(counts[failed].sum())
             message = str(_no_maximum(us[failed][0])) if failures else None
-        if failures:
-            results.append(MonteCarloResult(estimator=name, mse=float("nan"),
-                                            mc_standard_error=float("nan"), reps=reps,
-                                            failures=failures, error=message))
-            continue
-        mse = float(np.dot(weights, sq)) / reps
-        dev = sq - mse
-        se = math.sqrt(float(np.dot(weights, dev * dev)) / (reps - 1) / reps) if reps > 1 else 0.0
-        results.append(MonteCarloResult(estimator=name, mse=mse, mc_standard_error=se,
-                                        reps=reps))
+        mse = se = float("nan")
+        if not failures:
+            mse = total / reps
+            dev = sq - mse
+            se = math.sqrt(float(np.dot(counts, dev * dev)) / (reps - 1) / reps) if reps > 1 else 0.0
+        results.append(MonteCarloResult(estimator=name, mse=mse, mc_standard_error=se, reps=reps,
+                                        failures=failures, error=message))
     return results

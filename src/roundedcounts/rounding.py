@@ -56,6 +56,11 @@ HALF_UP = "half-up"
 HALF_EVEN = "half-even"
 _TIE_RULES = (HALF_UP, HALF_EVEN)
 
+#: Largest table of U ``rounded_pmf`` builds, and the largest group count
+#: with a roots-of-unity table; a larger one is refused before any array is
+#: allocated.
+MAX_TABLE_ENTRIES = 2**22
+
 #: Moment computations reject results whose discarded imaginary part
 #: exceeds this magnitude.
 IMAG_RESIDUAL_LIMIT = 1e-9
@@ -117,6 +122,10 @@ class RootsOfUnityTable:
 # may see many distinct n.
 @lru_cache(maxsize=128)
 def roots_of_unity(n: int) -> RootsOfUnityTable:
+    """The table for n groups; n over ``MAX_TABLE_ENTRIES`` raises ValueError
+    before any array is allocated."""
+    if n > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a roots-of-unity table for n={n} is over the limit of {MAX_TABLE_ENTRIES}")
     j = np.arange(n)
     omega_pow = np.exp(2j * np.pi * j / n)
     sign = np.where(j % 2 == 0, 1.0, -1.0)
@@ -233,10 +242,6 @@ class RoundedPmf:
         powers = z ** np.arange(self.first, self.first + len(self.probs))
         return complex(np.dot(self.probs, powers))
 
-
-#: Largest table ``rounded_pmf`` builds; a wider window is refused before
-#: any array is allocated.
-MAX_TABLE_ENTRIES = 2**22
 
 #: Default probability each side of a table leaves out: the package's one truncation rule.
 TAIL_EPS = 1e-12

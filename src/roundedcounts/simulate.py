@@ -1,11 +1,12 @@
 """Seeded Monte Carlo experiment runner for estimator MSE comparisons.
 
-An experiment draws ``reps`` latent totals per (parameter, group count)
-cell, forms the rounded totals, evaluates the requested estimators and
-reports each estimator's MSE with its Monte Carlo standard error.  Each
-block of replicates uses a substream derived from (seed, cell, block), so
-an identical configuration always reproduces the identical result table,
-byte for byte, independent of evaluation order or worker count.
+An experiment draws the tally of ``reps`` rounded totals per (parameter,
+group count) cell (``sample_tally``), evaluates the requested
+estimators on the distinct totals drawn and reports each estimator's MSE
+with its Monte Carlo standard error.  Each cell draws from one generator
+seeded from (seed, cell indices), so an identical configuration always
+reproduces the identical result table, byte for byte, and a cell's rows
+do not depend on which other cells run or in what order.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class ExperimentConfig:
     nb_size: float | None = None
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        _positive_int(self.reps, "reps")
         if not self.param_grid or not self.n_list:
             raise ValueError("param_grid and n_list must be non-empty")
         for n in self.n_list:
@@ -113,11 +113,6 @@ def run_mse_experiment(config: ExperimentConfig) -> ResultTable:
             scheme = RoundingScheme(int(n), config.tie_rule)
             cell = monte_carlo_mse(model, scheme, config.estimators, config.reps,
                                    config.seed, stream_key=(j, i))
-            for res in cell:
-                table.rows.append(ResultRow(
-                    family=config.family, param=float(param), n=int(n),
-                    estimator=res.estimator, mse=res.mse,
-                    mc_standard_error=res.mc_standard_error, reps=res.reps,
-                    seed=int(config.seed), failures=res.failures, error=res.error,
-                ))
+            table.rows.extend(ResultRow(family=config.family, param=float(param), n=int(n),
+                                        seed=int(config.seed), **vars(res)) for res in cell)
     return table

@@ -411,6 +411,37 @@ def test_reruns_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_fig3_reruns_are_byte_identical(tmp_path):
+    # One run in this process and one in a fresh interpreter.
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    argv = ["mse-sim", "--preset", "fig3", "--seed", "4242"]
+    assert main([*argv, "--out", str(paths[0])]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(roundedcounts.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "roundedcounts.cli", *argv, "--out", str(paths[1])],
+                   env=env, check=True)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--theta", "2", "--n", str(MAX_TABLE_ENTRIES + 1)],
+    ["pgf-check", "--theta", "2", "--n", str(MAX_TABLE_ENTRIES + 1)],
+    ["excess-deaths", "--n1", "7", "--n2", str(MAX_TABLE_ENTRIES + 1), "--theta", "2"],
+])
+def test_group_count_over_the_roots_limit_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err.strip())
+    assert error["type"] == "ValueError" and "roots-of-unity" in error["error"]
+
+
+def test_oversized_mse_sim_cell_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mse-sim", "--param-grid", "1e12", "--n-list", "1",
+                             "--reps", str(MAX_TABLE_ENTRIES + 1))
+    assert (code, out) == (2, "")
+    assert "entries" in json.loads(err.strip())["error"]
+
+
 def test_pgf_check_small_diffs(capsys):
     code, out, _ = run_cli(capsys, "pgf-check", "--dist", "poisson", "--theta", "2",
                            "--n", "4", "--points", "10")

@@ -20,17 +20,16 @@ from roundedcounts import (
     mse_ratio_curve,
     numeric_mle,
     poisson_mle_closed,
-    rng_substream,
     round_count,
     rounded_logpmf,
     rounded_pmf,
-    sample_u,
+    sample_tally,
     support_block,
 )
 from roundedcounts import estimation, rounding
 from roundedcounts.distributions import family_spec
-from roundedcounts.estimation import MC_BLOCK, _estimator_fn
-from roundedcounts.rounding import TAIL_EPS
+from roundedcounts.estimation import _estimator_fn
+from roundedcounts.rounding import MAX_TABLE_ENTRIES, TAIL_EPS
 
 
 class TestClosedForm:
@@ -309,12 +308,13 @@ class TestValueOnly:
             poisson_mle_closed(4, 3)
 
     def test_block_above_trials_is_flagged_by_monte_carlo(self, monkeypatch):
-        # Draws never leave the support, so the totals are planted: with
+        # Draws never leave the support, so the tally is planted: with
         # 4 trials in pairs the blocks of 6, 8 and 10 start above 4.
-        draws = np.array([0, 2, 8, 4, 8, 10, 6, 4])
-        monkeypatch.setattr(estimation, "sample_u", lambda model, scheme, rng, size: draws[:size])
+        us, counts = np.array([0, 2, 4, 6, 8, 10]), np.array([1, 1, 2, 1, 2, 1])
+        monkeypatch.setattr(estimation, "sample_tally",
+                            lambda model, scheme, reps, rng: (us, counts))
         model, scheme = Binomial(4, 0.5), RoundingScheme(2)
-        res = monte_carlo_mse(model, scheme, ["u", "numeric-mle"], len(draws), seed=1)
+        res = monte_carlo_mse(model, scheme, ["u", "numeric-mle"], int(counts.sum()), seed=1)
         flagged = {r.estimator: r for r in res}["numeric-mle"]
         with pytest.raises(NoMaximumError) as first:
             numeric_mle(6, scheme, "binomial", trials=4)
@@ -542,31 +542,33 @@ class TestMseRatio:
             assert np.all(curve.mse_unrounded[:, j] == unrounded)
 
 
+def cell_tally(model, scheme, reps, seed, key=()):
+    """The tally ``monte_carlo_mse`` draws: one generator per cell, seeded
+    from (seed, key)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    return sample_tally(model, scheme, reps, rng)
+
+
 class TestMonteCarlo:
     def test_single_replicate_definition(self):
         model, scheme = Poisson(4.0), RoundingScheme(1)
         res = monte_carlo_mse(model, scheme, ["u"], 1, seed=31)[0]
-        u = sample_u(model, scheme, rng_substream(31, (0,)), size=1)[0]
-        assert res.mse == (u - 4.0) ** 2
+        us, counts = cell_tally(model, scheme, 1, 31)
+        assert counts.tolist() == [1]
+        assert res.mse == (us[0] - 4.0) ** 2
         assert res.mc_standard_error == 0.0
 
-    @staticmethod
-    def block_draws(model, scheme, reps, seed, key):
-        """The rounded totals of every replicate, drawn block by block."""
-        sizes = [min(MC_BLOCK, reps - start) for start in range(0, reps, MC_BLOCK)]
-        return np.concatenate([sample_u(model, scheme, rng_substream(seed, key + (b,)), size=m)
-                               for b, m in enumerate(sizes)])
-
-    def test_blocks_match_per_replicate_reference(self):
+    def test_tally_matches_per_replicate_reference(self):
         model, scheme = Poisson(6.0), RoundingScheme(4)
-        reps = 2 * MC_BLOCK + 7
+        reps = 8199
         names = ["u", "closed-mle"]
         res = monte_carlo_mse(model, scheme, names, reps, seed=12, stream_key=(3,))
-        us = self.block_draws(model, scheme, reps, 12, (3,))
-        assert len(us) == reps and len(np.unique(us)) > 5
-        distinct, inverse = np.unique(us, return_inverse=True)
+        us, counts = cell_tally(model, scheme, reps, 12, (3,))
+        assert counts.sum() == reps and len(us) > 5 and np.all(counts > 0)
+        assert np.all(np.diff(us) > 0)
+        per_replicate = np.repeat(np.arange(len(us)), counts)
         for name, r in zip(names, res):
-            sq = (_estimator_fn(name, model, scheme)(distinct)[inverse] - 6.0) ** 2
+            sq = (_estimator_fn(name, model, scheme)(us)[per_replicate] - 6.0) ** 2
             assert r.mse == pytest.approx(np.mean(sq), rel=1e-12)
             assert r.mc_standard_error == pytest.approx(
                 np.std(sq, ddof=1) / math.sqrt(reps), rel=1e-12)
@@ -586,9 +588,9 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(estimation, "_estimator_fn", counting)
         model, scheme = Poisson(6.0), RoundingScheme(3)
-        reps = 2 * MC_BLOCK + 7
+        reps = 8199
         monte_carlo_mse(model, scheme, ["u", "closed-mle"], reps, seed=12)
-        distinct = np.unique(self.block_draws(model, scheme, reps, 12, ())).tolist()
+        distinct = cell_tally(model, scheme, reps, 12)[0].tolist()
         assert calls == [("u", distinct), ("closed-mle", distinct)]
 
     def test_memory_does_not_grow_with_reps(self):
@@ -599,12 +601,29 @@ class TestMonteCarlo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One block's draws and rounding temporaries take about five int64
-        # arrays of MC_BLOCK entries, and the interpreter's tuple free list
-        # up to about three more; one float per replicate would be 80 MB.
-        assert peak < 12 * MC_BLOCK * 8
+        # The cell holds its table of U, the tally and the estimates of the
+        # distinct totals, a few arrays of about ten entries each; one float
+        # per replicate would be 80 MB.
+        assert peak < 12 * 4096 * 8
         exact = exact_mse(float, model, scheme, 2.0)
         assert abs(res.mse - exact) < 4 * res.mc_standard_error
+
+    def test_cell_over_a_table_too_large_draws_latent_counts(self):
+        # The latent window of Poisson(1e12) holds about 1.4e7 values, over
+        # MAX_TABLE_ENTRIES; with fewer replicates the cell draws them.
+        res = monte_carlo_mse(Poisson(1e12), RoundingScheme(1), ["u"], 400, seed=1)[0]
+        assert abs(res.mse - 1e12) < 4 * res.mc_standard_error
+
+    def test_cell_over_the_limit_on_both_table_and_reps_is_refused(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="entries"):
+                monte_carlo_mse(Poisson(1e12), RoundingScheme(1), ["u"],
+                                MAX_TABLE_ENTRIES + 1, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_degenerate_binomial(self):
         res = monte_carlo_mse(Binomial(4, 0.0), RoundingScheme(2), ["u"], 100, seed=1)[0]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,11 +13,13 @@ from roundedcounts import (
     HALF_EVEN,
     HALF_UP,
     Binomial,
+    ExcessDeathsDesign,
     NearRootOfUnityError,
     NegativeBinomial,
     Poisson,
     RoundingScheme,
     asymptotic_mle_mean,
+    excess_moments,
     round_count,
     rounded_logpmf,
     rounded_moments_binomial,
@@ -166,6 +169,25 @@ class TestRootsTable:
     def test_cache_is_bounded(self):
         maxsize = roots_of_unity.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 10_000
+
+    @pytest.mark.parametrize("call", [
+        roots_of_unity,
+        lambda n: rounded_moments_series(Poisson(2.0), RoundingScheme(n)),
+        lambda n: rounded_moments_poisson(2.0, n),
+        lambda n: rounded_moments_binomial(n, 0.5, n),
+        lambda n: rounded_pgf(Poisson(2.0), RoundingScheme(n), 0.5),
+        lambda n: excess_moments(ExcessDeathsDesign(7, n, 2.0, 0.0)),
+    ], ids=["roots", "series", "poisson", "binomial", "pgf", "excess"])
+    def test_group_count_over_the_limit_is_refused_before_allocating(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_TABLE_ENTRIES}"):
+                call(MAX_TABLE_ENTRIES + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The table would be two complex arrays of 2**22 entries, 134 MB.
+        assert peak < 1_000_000
 
 
 class TestRoundedPmf:
