@@ -5,11 +5,13 @@ observed through a rounded average.  All probability evaluations go through
 the log domain (log-gamma for factorials) so that large counts and large
 rate parameters do not overflow.  Tails come from ``scipy.special``
 (regularized incomplete gamma and beta functions), except the Poisson
-upper tail far above a large mean, which is Temme's uniform asymptotic
-expansion: each family supplies its two raw tail functions, and the base
-class floors k and fills in the values outside the support.  Generating
-functions accept complex arguments because the rounding machinery
-evaluates them at roots of unity.
+upper tail 4.5 sd and more above a mean of 5e4 or more, which is Temme's
+uniform asymptotic expansion: each family supplies its two raw tail
+functions, and the base class floors k and fills in the values outside the
+support.  Generating functions accept complex arguments because the
+rounding machinery evaluates them at roots of unity; each family gives the
+generating function and its derivative together from one evaluation
+(``_pgf_pair``), for the moment series.
 
 ``FAMILIES`` is the one table of what estimation from a rounded total needs
 to know about each family; other modules look a family up there.
@@ -36,14 +38,15 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-def _integer_power(z, k: int):
-    """z**k for complex z via the complex log, safe for very large k."""
+def _integer_power(z, k: int, log_z=None):
+    """z**k for complex z via the complex log, safe for very large k;
+    ``log_z``, if given, is ``np.log(z[z != 0])``."""
     z = np.asarray(z, dtype=complex)
     if k == 0:
         return np.ones_like(z)
     out = np.zeros_like(z)
     nz = z != 0
-    out[nz] = np.exp(k * np.log(z[nz]))
+    out[nz] = np.exp(k * (np.log(z[nz]) if log_z is None else log_z))
     return out
 
 
@@ -102,6 +105,11 @@ class CountDistribution:
 
     def pgf_derivative(self, s):
         """d/ds E(s**Y) as a complex number; equals the mean at s=1."""
+        return self._pgf_pair(np.asarray(s, dtype=complex))[1][()]
+
+    def _pgf_pair(self, s):
+        """(pgf(s), pgf_derivative(s)) at a complex array s from one
+        evaluation of the generating function, as the moment series needs."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
@@ -168,8 +176,14 @@ class CountDistribution:
         return hi
 
 
-_TEMME_MIN_MEAN = 1e5  # below it pdtrc is accurate to 6e-15 in the far tail too
+# Below this mean pdtrc's far tail costs no more than the expansion read point
+# by point (0.8 us at 3e4, 1.0 at 5e4, against 1.1), so the short far parts of
+# tables at large n would get slower; measured on the large-spread tables.
+_TEMME_MIN_MEAN = 5e4
 _TEMME_MIN_Z = 4.5  # where pdtrc leaves its asymptotic branch
+# A far part up to this long is cheaper element by element: the array form
+# costs about 24 us however short the array, a float about 1.1 us.
+_TEMME_SCALAR_MAX = 22
 # Horner coefficients 1/17, 1/15, ..., 1/3 in v**2 of (atanh(v) - v)/v**3, to
 # double precision for v < 0.1.
 _BD0_SERIES = tuple(1.0 / j for j in range(17, 1, -2))
@@ -177,15 +191,17 @@ _BD0_SERIES = tuple(1.0 / j for j in range(17, 1, -2))
 
 def _temme_p(a, theta):
     """Regularized lower incomplete gamma P(a, theta) for a - theta >= 4.5*sqrt(a),
-    theta >= 1e5, from Temme's uniform asymptotic expansion (Temme 1979; DLMF
+    theta >= 5e4, from Temme's uniform asymptotic expansion (Temme 1979; DLMF
     8.12) to the a**-2 term, for a float a or an array of them.
 
     Within 6e-14 relative of a 40-digit sum at means 1e5 to 1e8, 4.5 to 9 sd
-    above them.  The exponent ``b = a*log(a/theta) + theta - a``, which cancels
-    in that form, is the series in ``v = (a - theta)/(a + theta)`` of Loader's
-    ``bd0``.  From v = 0.1 on the series falls short of b, but b exceeds 2,300
-    there, so P is 0.0 either way.  exp and erfc are the numpy ufuncs for a
-    float too, so both forms agree bitwise.
+    above them, and within 1.5e-14 at 5e4 (1.7e-14 at 3e4, 7e-14 at 1e3, so
+    the mean stays above a few thousand).  The exponent
+    ``b = a*log(a/theta) + theta - a``, which cancels in that form, is the
+    series in ``v = (a - theta)/(a + theta)`` of Loader's ``bd0``.  From
+    v = 0.1 on the series falls short of b, but b exceeds 2,300 there, so P is
+    0.0 either way.  exp and erfc are the numpy ufuncs for a float too, so
+    both forms agree bitwise.
     """
     sqrt = math.sqrt if isinstance(a, float) else np.sqrt
     d = a - theta
@@ -241,8 +257,10 @@ class Poisson(CountDistribution):
     def _sf_at(self, k):
         # P(Y > k) is the regularized P(a, theta) at a = k + 1.  Where
         # a - theta >= 4.5*sqrt(a), pdtrc leaves its asymptotic branch for a series
-        # that is slow and, at means from about 3e5, inaccurate (3.1e-2 relative
-        # at 1e7), so there Temme's expansion takes over from a mean of 1e5.
+        # that is slow (1.0 us per point at 5e4, 1.3 at 8.7e4) and, at means from
+        # about 3e5, inaccurate (3.1e-2 relative at 1e7), so there Temme's
+        # expansion takes over from a mean of 5e4.  Each point's formula depends
+        # on (theta, k) alone: the scalar and array forms agree bit for bit.
         theta = self.theta
         if theta < _TEMME_MIN_MEAN:
             return special.pdtrc(k, theta)
@@ -252,7 +270,11 @@ class Poisson(CountDistribution):
             return _temme_p(a, theta) if far else special.pdtrc(k, theta)
         far = (a - theta >= _TEMME_MIN_Z * np.sqrt(a)) & (a < math.inf)
         out = np.empty_like(a)
-        out[far] = _temme_p(a[far], theta)
+        a_far = a[far]
+        if len(a_far) > _TEMME_SCALAR_MAX:
+            out[far] = _temme_p(a_far, theta)
+        elif len(a_far):
+            out[far] = [_temme_p(x, theta) for x in a_far.tolist()]
         out[~far] = special.pdtrc(k[~far], theta)
         return out
 
@@ -260,9 +282,9 @@ class Poisson(CountDistribution):
         s = np.asarray(s, dtype=complex)
         return np.exp(self.theta * (s - 1.0))[()]
 
-    def pgf_derivative(self, s):
-        s = np.asarray(s, dtype=complex)
-        return (self.theta * np.exp(self.theta * (s - 1.0)))[()]
+    def _pgf_pair(self, s):
+        g = np.exp(self.theta * (s - 1.0))
+        return g, self.theta * g
 
     def sample(self, rng, size=None):
         return rng.poisson(self.theta, size=size)
@@ -311,10 +333,11 @@ class Binomial(CountDistribution):
         s = np.asarray(s, dtype=complex)
         return _integer_power(1.0 - self.prob + self.prob * s, self.trials)[()]
 
-    def pgf_derivative(self, s):
-        s = np.asarray(s, dtype=complex)
-        base = _integer_power(1.0 - self.prob + self.prob * s, self.trials - 1)
-        return (self.trials * self.prob * base)[()]
+    def _pgf_pair(self, s):
+        z = np.asarray(1.0 - self.prob + self.prob * s, dtype=complex)
+        log_z = np.log(z[z != 0])
+        return (_integer_power(z, self.trials, log_z),
+                self.trials * self.prob * _integer_power(z, self.trials - 1, log_z))
 
     def sample(self, rng, size=None):
         return rng.binomial(self.trials, self.prob, size=size)
@@ -374,10 +397,10 @@ class NegativeBinomial(CountDistribution):
             raise ValueError("pgf argument outside the radius of convergence")
         return np.exp(self.size * (np.log(self.prob) - np.log(1.0 - q * s)))[()]
 
-    def pgf_derivative(self, s):
-        s = np.asarray(s, dtype=complex)
+    def _pgf_pair(self, s):
+        g = self.pgf(s)
         q = 1.0 - self.prob
-        return (self.size * q / (1.0 - q * s) * self.pgf(s))[()]
+        return g, self.size * q / (1.0 - q * s) * g
 
     def sample(self, rng, size=None):
         return rng.negative_binomial(self.size, self.prob, size=size)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -117,13 +117,41 @@ class RootsOfUnityTable:
     coeff_a: np.ndarray
     offset_r: float
 
+    @cached_property
+    def series_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """conj(omega), 1 - omega, omega*(1 - omega) and (1 - omega)**2 at
+        the roots omega = ``omega_pow[1:]``, for the moment series."""
+        omega = self.omega_pow[1:]
+        one_minus = 1.0 - omega
+        return np.conj(omega), one_minus, omega * one_minus, one_minus**2
 
-# Bounded: each table holds two complex arrays of length n, and a long run
-# may see many distinct n.
-@lru_cache(maxsize=128)
+
+#: Most roots of unity the table cache holds, summed over its tables.  A
+#: table holds at most 6 complex arrays of n entries (its roots and
+#: coefficients, and the series factors once read), 96 bytes per root, so
+#: the cache never holds more than 24 MiB.  A table for a larger n is built
+#: on each call and not kept.
+ROOTS_CACHE_LIMIT = 2**18
+
+_ROOTS_CACHE: dict[int, RootsOfUnityTable] = {}
+
+
 def roots_of_unity(n: int) -> RootsOfUnityTable:
     """The table for n groups; n over ``MAX_TABLE_ENTRIES`` raises ValueError
-    before any array is allocated."""
+    before any array is allocated.  Tables are kept, least recently used
+    dropped first, while their n sum to at most ``ROOTS_CACHE_LIMIT``."""
+    table = _ROOTS_CACHE.pop(n, None)
+    if table is None:
+        table = _roots_table(n)
+        if n > ROOTS_CACHE_LIMIT:
+            return table
+        while sum(_ROOTS_CACHE) + n > ROOTS_CACHE_LIMIT:
+            del _ROOTS_CACHE[next(iter(_ROOTS_CACHE))]
+    _ROOTS_CACHE[n] = table
+    return table
+
+
+def _roots_table(n: int) -> RootsOfUnityTable:
     if n > MAX_TABLE_ENTRIES:
         raise ValueError(f"a roots-of-unity table for n={n} is over the limit of {MAX_TABLE_ENTRIES}")
     j = np.arange(n)
@@ -457,11 +485,10 @@ def _assemble_moments(ey: float, vy: float, gv: np.ndarray, gdv: np.ndarray,
     """Combine latent moments with generating-function values at the
     reciprocal roots of unity (indices j = 1..n-1)."""
     n, r = table.n, table.offset_r
-    omega = table.omega_pow[1:]
     coeff = table.coeff_a[1:]
-    one_minus = 1.0 - omega
+    _, one_minus, omega_one_minus, one_minus_sq = table.series_factors
     s1 = np.sum(coeff * gv / one_minus)
-    s2 = np.sum(coeff * (gdv / (omega * one_minus) - gv / one_minus**2))
+    s2 = np.sum(coeff * (gdv / omega_one_minus - gv / one_minus_sq))
     mean_c = ey + 0.5 * (2.0 * r - 1.0) + s1
     var_c = vy + (n * n - 1.0) / 12.0 - (2.0 * ey - 1.0) * s1 - s1 * s1 + 2.0 * s2
     residual = max(abs(mean_c.imag), abs(var_c.imag)) if n > 1 else 0.0
@@ -480,12 +507,16 @@ def _assemble_moments(ey: float, vy: float, gv: np.ndarray, gdv: np.ndarray,
 def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> MomentReport:
     """E(U) and Var(U) from the generic alternating series over reciprocal
     roots of unity (round-half-up).  At n = 1 the sums are empty and the
-    latent moments are returned unchanged."""
+    latent moments are returned unchanged.
+
+    The generating function of Y and its derivative at the reciprocal roots
+    come from one evaluation (``CountDistribution._pgf_pair``), and the
+    factors in the roots from the cached table, so the cost is about one
+    complex exponential per root.
+    """
     _require_half_up(scheme, "the moment series")
     table = scheme.table
-    recip = np.conj(table.omega_pow[1:])
-    gv = np.asarray(model.pgf(recip), dtype=complex)
-    gdv = np.asarray(model.pgf_derivative(recip), dtype=complex)
+    gv, gdv = model._pgf_pair(table.series_factors[0])
     return _assemble_moments(model.mean(), model.variance(), gv, gdv, table)
 
 

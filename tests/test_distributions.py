@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from roundedcounts import Binomial, NegativeBinomial, Poisson
-from roundedcounts.distributions import _temme_p
+from roundedcounts.distributions import _TEMME_SCALAR_MAX, _temme_p
 
 ALL_MODELS = [Poisson(0.5), Poisson(2.0), Poisson(7.3), Binomial(20, 0.35),
               Binomial(4, 0.3), NegativeBinomial(5, 0.4)]
@@ -259,11 +259,11 @@ def test_tails_outside_the_support(model):
 def reference_tails(model, k):
     k = np.floor(k)
     if isinstance(model, Poisson):
-        # pdtrc, but Temme's expansion from a mean of 1e5 at a = k + 1 >= mean +
+        # pdtrc, but Temme's expansion from a mean of 5e4 at a = k + 1 >= mean +
         # 4.5*sqrt(a), a finite; evaluated as an array even for a scalar k.
         inner, theta = np.maximum(k, 0.0), model.theta
         a = np.array(inner + 1.0, ndmin=1)
-        far = (theta >= 1e5) & (a - theta >= 4.5 * np.sqrt(a)) & np.isfinite(a)
+        far = (theta >= 5e4) & (a - theta >= 4.5 * np.sqrt(a)) & np.isfinite(a)
         sf = np.array(special.pdtrc(inner, theta), ndmin=1)
         sf[far] = _temme_p(a[far], theta)
         return (np.where(k < 0, 0.0, special.pdtr(inner, theta))[()],
@@ -439,7 +439,7 @@ def test_poisson_upper_tail_at_large_means_matches_mpmath(theta):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.floats(5.0, 8.0), st.floats(4.0, 9.0))
+@given(st.floats(math.log10(5e4), 8.0), st.floats(4.0, 9.0))
 def test_poisson_upper_tail_matches_mpmath_property(log_theta, z):
     # z from 4 to 9 spans the switch to Temme's expansion at about 4.5.
     theta = 10.0 ** log_theta
@@ -457,7 +457,7 @@ def test_poisson_deep_upper_tail_matches_mpmath(theta, z):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.floats(1e5, 2e5))
+@given(st.floats(5e4, 2e5))
 def test_poisson_tail_formulas_agree_at_the_switch(theta):
     # Here pdtrc is still accurate, so at the first k that takes Temme's
     # expansion, and the one before it, both formulas give the same tail.
@@ -480,7 +480,7 @@ def test_poisson_sf_underflows_where_the_bd0_series_falls_short(theta):
     assert Poisson(theta).sf(k) == 0.0 and Poisson(theta).sf(float(k)) == 0.0
 
 
-@pytest.mark.parametrize("theta", [99_999.9, 1e5, 3.3e5, 1e7, 1e18])
+@pytest.mark.parametrize("theta", [49_999.9, 5e4, 9e4, 3.3e5, 1e7, 1e18])
 def test_poisson_sf_scalar_and_array_agree_bitwise(theta):
     ks = np.floor(theta + np.linspace(-9.0, 40.0, 400) * math.sqrt(theta))
     ks = np.concatenate((ks, [0.0, 1e20, 1e300, math.inf, math.nan]))
@@ -490,5 +490,21 @@ def test_poisson_sf_scalar_and_array_agree_bitwise(theta):
         raw = np.array([model._sf_at(float(k)) for k in ks])
         assert scalars.tobytes() == model.sf(ks).tobytes()
         assert raw.tobytes() == model._sf_at(ks).tobytes()
-        if theta < 1e5:
+        if theta < 5e4:
             assert raw.tobytes() == special.pdtrc(ks, theta).tobytes()
+
+
+@pytest.mark.parametrize("far", [1, _TEMME_SCALAR_MAX - 1, _TEMME_SCALAR_MAX,
+                                 _TEMME_SCALAR_MAX + 1])
+@pytest.mark.parametrize("theta", [5e4, 7.7e4, 1e6])
+def test_poisson_sf_of_a_batch_is_its_points_bitwise(theta, far):
+    # A far part this short is read element by element, a longer one as one
+    # array; either way each tail is the one a call at that point alone gives.
+    sd = math.sqrt(theta)
+    near = np.floor(theta + np.linspace(-6.0, 4.0, 9) * sd)
+    ks = np.concatenate((np.floor(theta + np.linspace(4.7, 9.0, far) * sd), near))
+    model = Poisson(theta)
+    a = ks + 1.0
+    assert np.count_nonzero(a - theta >= 4.5 * np.sqrt(a)) == far
+    for batch in (ks, ks[::-1], np.concatenate((near[:4], ks[:far], near[4:]))):
+        assert model.sf(batch).tobytes() == np.array([model.sf(k) for k in batch]).tobytes()

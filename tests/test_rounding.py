@@ -31,7 +31,14 @@ from roundedcounts import (
     sample_u,
     support_block,
 )
-from roundedcounts.rounding import MAX_TABLE_ENTRIES, _logsumexp, _mle_mean_branch
+from roundedcounts.rounding import (
+    IMAG_RESIDUAL_LIMIT,
+    MAX_TABLE_ENTRIES,
+    ROOTS_CACHE_LIMIT,
+    NumericalInconsistencyError,
+    _logsumexp,
+    _mle_mean_branch,
+)
 
 
 def brute_force_pmf(model, n, tie_rule, y_max):
@@ -166,9 +173,21 @@ class TestRootsTable:
         expected = [(-1.0) ** j * np.exp(1j * np.pi * j / 3) for j in range(3)]
         assert np.allclose(odd.coeff_a, expected)
 
-    def test_cache_is_bounded(self):
-        maxsize = roots_of_unity.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 10_000
+    def test_cache_holds_at_most_its_stated_size(self):
+        # Twelve distinct n, each over a quarter of the limit, with the series
+        # factors read: only the last three tables fit, 96 bytes per root.
+        # A cache of 128 tables would hold all twelve, 75 MB.
+        first = ROOTS_CACHE_LIMIT // 4 + 1
+        tracemalloc.start()
+        try:
+            for n in range(first, first + 12):
+                assert roots_of_unity(n).series_factors[1].shape == (n - 1,)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * 96 * first < held < 96 * ROOTS_CACHE_LIMIT  # 24 MiB
+        assert roots_of_unity(first + 11) is roots_of_unity(first + 11)
+        assert roots_of_unity(ROOTS_CACHE_LIMIT + 1) is not roots_of_unity(ROOTS_CACHE_LIMIT + 1)
 
     @pytest.mark.parametrize("call", [
         roots_of_unity,
@@ -661,6 +680,81 @@ class TestMoments:
                     raised += isinstance(want, type)
         # theta = 0.3 at n = 5000 among others: the series refuses a negative variance
         assert raised > 0
+
+    @staticmethod
+    def pgf_derivative_as_written(model, s):
+        """Each family's derivative at a complex array s, evaluated on its own."""
+        if isinstance(model, Poisson):
+            return model.theta * np.exp(model.theta * (s - 1.0))
+        if isinstance(model, Binomial):
+            z = 1.0 - model.prob + model.prob * s
+            power = np.ones_like(z) if model.trials == 1 else np.zeros_like(z)
+            if model.trials > 1:
+                nz = z != 0
+                power[nz] = np.exp((model.trials - 1) * np.log(z[nz]))
+            return model.trials * model.prob * power
+        q = 1.0 - model.prob
+        return model.size * q / (1.0 - q * s) * model.pgf(s)
+
+    def two_evaluation_series(self, model, n):
+        """The moment series as it was first written: pgf, then the derivative,
+        and the factors in the roots rebuilt on each call."""
+        table = roots_of_unity(n)
+        recip = np.conj(table.omega_pow[1:])
+        gv = np.asarray(model.pgf(recip), dtype=complex)
+        gdv = np.asarray(self.pgf_derivative_as_written(model, recip), dtype=complex)
+        ey, vy, r = model.mean(), model.variance(), table.offset_r
+        omega = table.omega_pow[1:]
+        coeff = table.coeff_a[1:]
+        one_minus = 1.0 - omega
+        s1 = np.sum(coeff * gv / one_minus)
+        s2 = np.sum(coeff * (gdv / (omega * one_minus) - gv / one_minus**2))
+        mean_c = ey + 0.5 * (2.0 * r - 1.0) + s1
+        var_c = vy + (n * n - 1.0) / 12.0 - (2.0 * ey - 1.0) * s1 - s1 * s1 + 2.0 * s2
+        residual = max(abs(mean_c.imag), abs(var_c.imag)) if n > 1 else 0.0
+        if residual > IMAG_RESIDUAL_LIMIT:
+            raise NumericalInconsistencyError(
+                f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT:.0e}")
+        variance = float(np.real(var_c))
+        if variance < 0.0:
+            if variance < -1e-12:
+                raise NumericalInconsistencyError(f"negative variance {variance:.3e}")
+            variance = 0.0
+        return float(np.real(mean_c)), variance, float(residual)
+
+    @staticmethod
+    def bytes_or_error(route, model, n):
+        """The bytes of (mean, variance, imag_residual), or the error raised."""
+        try:
+            return np.array(route(model, n)).tobytes()
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def series_fields(model, n):
+        report = rounded_moments_series(model, RoundingScheme(n))
+        return report.mean, report.variance, report.imag_residual
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 5000])
+    def test_series_is_bitwise_its_two_evaluation_form(self, n):
+        # The Poisson means span the large-spread benchmark's moment points
+        # (0.1 to 988 at n up to 5000, where the series often raises).
+        models = [Poisson(theta) for theta in (0.1, 0.3, 0.5, 1.0, 2.0, 7.3, 31.4, 158.0,
+                                               500.0, 988.0, 1e4)]
+        models += [Binomial(n * groups, prob) for groups in (1, 3, 40, 2000)
+                   for prob in (0.0, 0.01, 0.37, 1.0)]
+        models += [NegativeBinomial(size, prob) for size in (0.3, 5.0, 200.0)
+                   for prob in (0.05, 0.6, 1.0)]
+        recip = np.conj(roots_of_unity(n).omega_pow[1:])
+        raised = 0
+        for model in models:
+            assert (model.pgf_derivative(recip).tobytes()
+                    == self.pgf_derivative_as_written(model, recip).tobytes()), model
+            want = self.bytes_or_error(self.two_evaluation_series, model, n)
+            assert self.bytes_or_error(self.series_fields, model, n) == want, (model, n)
+            raised += isinstance(want, tuple)
+        if n >= 1000:
+            assert raised > 0
 
     @pytest.mark.parametrize("model", [Poisson(1e5), Binomial(10**8, 0.3)],
                              ids=["poisson", "binomial"])
