@@ -307,23 +307,59 @@ def _cmd_pmf(args, seed):
     return config, ["n", "u", "prob"], rows
 
 
+#: Complex entries per array in one ``pgf-check`` block; the evaluation
+#: holds about five arrays this size, so a block stays a few MiB.
+_PGF_BLOCK_ENTRIES = 2**16
+
+
+def _disk_points(rng: np.random.Generator, roots: np.ndarray, count: int, block: int):
+    """The first ``count`` points that ``pgf-check``'s rejection sampler
+    accepts, in arrays of at most ``block`` points.
+
+    Each candidate is a pair of uniforms on [-1, 1] drawn in order, taken
+    as (real, imaginary), and is accepted when 1e-3 <= |s| <= 1 and s lies
+    at least 1e-3 from every n-th root of unity.  Candidates are drawn in
+    batches; the points accepted and their order do not depend on the
+    batch size.
+    """
+    while count > 0:
+        pairs = rng.uniform(-1.0, 1.0, size=(min(block, 2 * count), 2))
+        s = pairs.view(complex)[:, 0]
+        radius = np.hypot(pairs[:, 0], pairs[:, 1])  # Python's abs of a complex
+        accept = ((radius <= 1.0) & (radius >= 1e-3)
+                  & (np.abs(s[:, None] - roots).min(axis=1) >= 1e-3))
+        s = s[accept][:count]
+        count -= len(s)
+        if len(s):
+            yield s
+
+
 def _cmd_pgf_check(args, seed):
+    """The closed generating function against the series over the table of U
+    at ``--points`` random points of the unit disk (see ``_disk_points``).
+
+    Points are drawn and both forms evaluated in blocks of at most
+    ``_PGF_BLOCK_ENTRIES // max(n, table length)`` points (at least one),
+    one call of each form per block, so each array stays near the size of
+    one point's at large n; ``--points`` above ``MAX_TABLE_ENTRIES`` is
+    refused.
+    """
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_TABLE_ENTRIES:
+        raise ValueError(f"--points must be at most the limit, {MAX_TABLE_ENTRIES}, "
+                         f"got {args.points}")
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
     table = rounded_pmf(model, scheme, 1e-14)
-    rng = np.random.default_rng(seed)
     roots = scheme.table.omega_pow
+    block = max(1, min(MAX_TABLE_ENTRIES, _PGF_BLOCK_ENTRIES) // max(args.n, len(table.probs)))
     rows = []
-    while len(rows) < args.points:
-        s = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(s) > 1.0 or np.min(np.abs(s - roots)) < 1e-3 or abs(s) < 1e-3:
-            continue
-        direct = rounded_pgf(model, scheme, s)
-        series = table.pgf(s)
-        rows.append([s.real, s.imag, direct.real, direct.imag,
-                     series.real, series.imag, abs(direct - series)])
+    for s in _disk_points(np.random.default_rng(seed), roots, args.points, block):
+        direct, series = rounded_pgf(model, scheme, s), table.pgf(s)
+        diff = direct - series
+        rows += np.stack([s.real, s.imag, direct.real, direct.imag, series.real, series.imag,
+                          np.hypot(diff.real, diff.imag)], axis=1).tolist()
     config = {**model_cfg, "n": args.n, "points": args.points, "seed": seed}
     return config, ["s_re", "s_im", "direct_re", "direct_im", "series_re", "series_im",
                     "abs_diff"], rows

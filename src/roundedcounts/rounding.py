@@ -263,12 +263,22 @@ class RoundedPmf:
         dev = self.support - self.mean()
         return float(np.dot(dev * dev, self.probs))
 
-    def pgf(self, s) -> complex:
+    def pgf(self, s):
         """Sum of P(U=u) s**u over the tabulated support; the series fallback
-        for arguments the direct formula refuses."""
-        z = complex(s) ** self.n
-        powers = z ** np.arange(self.first, self.first + len(self.probs))
-        return complex(np.dot(self.probs, powers))
+        for arguments the direct formula refuses.
+
+        s is a complex scalar, which gives a Python complex, or an array of
+        any shape, which gives an array of that shape.  An array whose size
+        times the table length exceeds ``MAX_TABLE_ENTRIES`` raises
+        ValueError before anything is evaluated.
+        """
+        s = np.asarray(s, dtype=complex)
+        _check_entries(s.size, len(self.probs), "table entries")
+        powers = np.power(s, self.n)[..., None] ** np.arange(self.first,
+                                                             self.first + len(self.probs))
+        # One dot product per point, summed as a single point's is.
+        total = np.matmul(powers[..., None, :], self.probs[:, None])[..., 0, 0]
+        return complex(total) if s.ndim == 0 else total
 
 
 #: Default probability each side of a table leaves out: the package's one truncation rule.
@@ -439,35 +449,69 @@ def _require_half_up(scheme: RoundingScheme, what: str):
         raise ValueError(f"{what} is only available for the round-half-up rule")
 
 
-def rounded_pgf(model: CountDistribution, scheme: RoundingScheme, s) -> complex:
+def _check_entries(points: int, per_point: int, what: str):
+    """Refuse an array call that would hold more than ``MAX_TABLE_ENTRIES``
+    complex entries, before any is allocated."""
+    if points * per_point > MAX_TABLE_ENTRIES:
+        raise ValueError(f"{points} points of s times {per_point} {what} is "
+                         f"{points * per_point} entries, over the limit of {MAX_TABLE_ENTRIES}")
+
+
+def _first_point(flags: np.ndarray) -> str:
+    """The name of the first flagged point of s: "s" for a scalar, else "s[i, ...]"."""
+    if flags.ndim == 0:
+        return "s"
+    return f"s[{', '.join(map(str, np.unravel_index(np.argmax(flags), flags.shape)))}]"
+
+
+def rounded_pgf(model: CountDistribution, scheme: RoundingScheme, s):
     """E(s**U) by the closed roots-of-unity filter (round-half-up only).
 
-    Valid on the closed unit disk away from the n-th roots of unity (and
-    away from 0 when n >= 3, where the denominator power of s vanishes);
-    within the guard radius a :class:`NearRootOfUnityError` directs callers
-    to the tabulated series ``rounded_pmf(...).pgf(s)``, which has no
-    excluded points.
+    s is a complex scalar, which gives a Python complex, or an array of any
+    shape, which gives an array of that shape: each point's filter terms
+    are one row of a (points, n) array, summed along it.  Valid on the
+    closed unit disk away from the n-th roots of unity (and away from 0 when
+    n >= 3, where the denominator power of s vanishes); a point within the
+    guard radius raises :class:`NearRootOfUnityError`, naming the first
+    such point, and directs callers to the tabulated series
+    ``rounded_pmf(...).pgf(s)``, which has no excluded points.  A point
+    outside the disk, or an array whose size times n exceeds
+    ``MAX_TABLE_ENTRIES``, raises ValueError.  Every check covers the whole
+    array before anything is evaluated.
     """
     _require_half_up(scheme, "the generating-function formula")
     n = scheme.n
-    s = complex(s)
-    if abs(s) > 1.0 + 1e-9:
-        raise ValueError(f"|s| must be <= 1, got {abs(s)}")
+    s = np.asarray(s, dtype=complex)
+    # np.hypot is what Python's abs gives for a complex.
+    radius = np.hypot(s.real, s.imag)
+    outside = radius > 1.0 + 1e-9
+    if outside.any():
+        raise ValueError(f"|{_first_point(outside)}| must be <= 1, got {float(radius[outside][0])}")
     table = scheme.table
-    if np.min(np.abs(s - table.omega_pow)) <= POLE_GUARD_RADIUS:
+    _check_entries(s.size, n, "roots of unity")
+    diff = s[..., None] - table.omega_pow
+    near_root = np.abs(diff).min(axis=-1) <= POLE_GUARD_RADIUS
+    if near_root.any():
         raise NearRootOfUnityError(
-            "s lies within the guard radius of a root of unity; "
+            f"{_first_point(near_root)} lies within the guard radius of a root of unity; "
             "evaluate the tabulated series from rounded_pmf instead"
         )
     # n even: s**(n/2 - 1); n odd: s**((n-1)/2). Integer exponent either way.
     exponent = n // 2 - 1 if n % 2 == 0 else (n - 1) // 2
-    if exponent > 0 and abs(s) <= POLE_GUARD_RADIUS:
+    if exponent > 0 and (near_zero := radius <= POLE_GUARD_RADIUS).any():
         raise NearRootOfUnityError(
-            "s lies within the guard radius of 0 where the denominator power "
-            "vanishes; evaluate the tabulated series from rounded_pmf instead"
+            f"{_first_point(near_zero)} lies within the guard radius of 0 where the "
+            "denominator power vanishes; evaluate the tabulated series from rounded_pmf instead"
         )
-    terms = table.coeff_a * model.pgf(s / table.omega_pow) / (s - table.omega_pow)
-    return complex((s**n - 1.0) / (n * s**exponent) * np.sum(terms))
+    # np.power, not **, which would square by a different routine at n = 2.
+    denominator = n * np.power(s, exponent)
+    if (vanished := denominator == 0).any():
+        raise ZeroDivisionError(f"complex division by zero: {_first_point(vanished)}"
+                                f"**{exponent} underflows to 0")
+    prefactor = (np.power(s, n) - 1.0) / denominator
+    terms = table.coeff_a * model.pgf(s[..., None] / table.omega_pow) / diff
+    total = prefactor * terms.sum(axis=-1)
+    return complex(total) if s.ndim == 0 else total
 
 
 @dataclass

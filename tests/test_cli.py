@@ -15,7 +15,7 @@ from roundedcounts import Poisson, RoundingScheme, rounded_moments_poisson, roun
 from roundedcounts import cli
 from roundedcounts.cli import build_parser, main, parse_float_list, parse_int_list
 from roundedcounts.rounding import MAX_TABLE_ENTRIES, TAIL_EPS
-from roundedcounts.tableio import read_csv
+from roundedcounts.tableio import format_cell, read_csv
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +449,72 @@ def test_pgf_check_small_diffs(capsys):
     _, columns, rows = read_csv(io.StringIO(out))
     diff_col = columns.index("abs_diff")
     assert all(row[diff_col] < 1e-8 for row in rows)
+
+
+def loop_points(seed, n, count):
+    """The points of ``pgf-check`` as its rejection sampler drew them one by one."""
+    rng = np.random.default_rng(seed)
+    roots = RoundingScheme(n).table.omega_pow
+    points = []
+    while len(points) < count:
+        s = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if abs(s) > 1.0 or np.min(np.abs(s - roots)) < 1e-3 or abs(s) < 1e-3:
+            continue
+        points.append(s)
+    return points
+
+
+def pgf_check_rows(capsys, *argv):
+    code, out, err = run_cli(capsys, "pgf-check", *argv)
+    assert (code, err) == (0, "")
+    return out, [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("model", [["--theta", "2"], ["--theta", "9.3"],
+                                   ["--dist", "binomial", "--trials", "30", "--prob", "0.3"],
+                                   ["--dist", "negbinomial", "--nb-size", "2.5", "--prob", "0.6"]])
+def test_pgf_check_points_are_the_loop_samplers(capsys, model):
+    for n in (1, 2, 3, 8, 31):
+        for seed in (1, 5, 12345):
+            argv = [*model, "--n", str(n), "--points", "41", "--seed", str(seed)]
+            out, rows = pgf_check_rows(capsys, *argv)
+            want = [[format_cell(s.real), format_cell(s.imag)] for s in loop_points(seed, n, 41)]
+            assert [row[:2] for row in rows] == want, argv
+            assert pgf_check_rows(capsys, *argv)[0] == out
+
+
+@pytest.mark.parametrize("theta, n", [(2.0, 8), (40.0, 1)])
+def test_pgf_check_in_blocks_matches_one_block(capsys, monkeypatch, theta, n):
+    # Under blocks of 200 entries a block holds at most 200 // max(n, table
+    # length) points: 25 at n = 8, where the table is shorter than n, and 2
+    # at n = 1, where the table is longer.
+    argv = ["--theta", str(theta), "--n", str(n), "--points", "60", "--seed", "3"]
+    length = len(rounded_pmf(Poisson(theta), RoundingScheme(n), 1e-14).probs)
+    block = 200 // max(n, length)
+    _, whole = pgf_check_rows(capsys, *argv)
+    calls = []
+    monkeypatch.setattr(cli, "_PGF_BLOCK_ENTRIES", 200)
+    monkeypatch.setattr(cli, "rounded_pgf", lambda *args: calls.append(args[2].size)
+                        or roundedcounts.rounded_pgf(*args))
+    _, blocks = pgf_check_rows(capsys, *argv)
+    assert sum(calls) == 60 and max(calls) <= block and len(calls) >= 60 // block
+    assert [row[:2] for row in blocks] == [row[:2] for row in whole]
+    eps = np.finfo(float).eps
+    got, want = np.array(blocks, dtype=float), np.array(whole, dtype=float)
+    for col in (2, 4):
+        value = want[:, col] + 1j * want[:, col + 1]
+        diff = np.abs(got[:, col] + 1j * got[:, col + 1] - value)
+        assert np.all(diff <= 4 * eps * np.abs(value))
+    assert np.all(got[:, 6] <= 1e-9)
+
+
+def test_pgf_check_points_over_the_limit_are_usage_error(capsys):
+    code, out, err = run_cli(capsys, "pgf-check", "--theta", "2", "--points",
+                             str(MAX_TABLE_ENTRIES + 1))
+    assert (code, out) == (2, "")
+    error = json.loads(err.strip())
+    assert error["type"] == "ValueError" and str(MAX_TABLE_ENTRIES) in error["error"]
+    assert "--points" in error["error"]
 
 
 def test_mse_exact_table(capsys):

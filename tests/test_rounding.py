@@ -34,6 +34,7 @@ from roundedcounts import (
 from roundedcounts.rounding import (
     IMAG_RESIDUAL_LIMIT,
     MAX_TABLE_ENTRIES,
+    POLE_GUARD_RADIUS,
     ROOTS_CACHE_LIMIT,
     NumericalInconsistencyError,
     _logsumexp,
@@ -579,6 +580,190 @@ class TestRoundedPgf:
     def test_half_even_rejected_for_even_n(self):
         with pytest.raises(ValueError):
             rounded_pgf(Poisson(2.0), RoundingScheme(2, HALF_EVEN), 0.5)
+
+
+def rounded_pgf_as_written(model, scheme, s):
+    """``rounded_pgf`` as it was written for one point: Python complex
+    arithmetic outside the sum over the roots."""
+    if scheme.tie_rule == HALF_EVEN and scheme.n % 2 == 0:
+        raise ValueError("the generating-function formula is only available for the "
+                         "round-half-up rule")
+    n = scheme.n
+    s = complex(s)
+    if abs(s) > 1.0 + 1e-9:
+        raise ValueError(f"|s| must be <= 1, got {abs(s)}")
+    table = scheme.table
+    if np.min(np.abs(s - table.omega_pow)) <= POLE_GUARD_RADIUS:
+        raise NearRootOfUnityError(
+            "s lies within the guard radius of a root of unity; "
+            "evaluate the tabulated series from rounded_pmf instead")
+    exponent = n // 2 - 1 if n % 2 == 0 else (n - 1) // 2
+    if exponent > 0 and abs(s) <= POLE_GUARD_RADIUS:
+        raise NearRootOfUnityError(
+            "s lies within the guard radius of 0 where the denominator power "
+            "vanishes; evaluate the tabulated series from rounded_pmf instead")
+    terms = table.coeff_a * model.pgf(s / table.omega_pow) / (s - table.omega_pow)
+    return complex((s**n - 1.0) / (n * s**exponent) * np.sum(terms))
+
+
+def series_pgf_as_written(table, s):
+    """``RoundedPmf.pgf`` as it was written for one point."""
+    z = complex(s) ** table.n
+    powers = z ** np.arange(table.first, table.first + len(table.probs))
+    return complex(np.dot(table.probs, powers))
+
+
+def value_or_error(route, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return route(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def disk_points(seed, n, count):
+    """``count`` points of the unit disk at least 1e-3 from 0 and from every
+    n-th root of unity, where both forms are accurate."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-1.0, 1.0, size=(4 * count + 16, 2)).view(complex)[:, 0]
+    roots = roots_of_unity(n).omega_pow
+    keep = ((np.abs(s) <= 1.0) & (np.abs(s) >= 1e-3)
+            & (np.abs(s[:, None] - roots).min(axis=1) >= 1e-3))
+    return s[keep][:count]
+
+
+def near_root_points(seed, n, count):
+    """``count`` points just inside the unit circle near an n-th root of
+    unity, where s**n - 1 cancels and any rounding in s**n is magnified."""
+    rng = np.random.default_rng(seed)
+    roots = roots_of_unity(n).omega_pow
+    near = (roots[rng.integers(0, n, 2 * count)] * rng.uniform(0.95, 0.998, 2 * count)
+            * np.exp(1j * rng.uniform(-0.02, 0.02, 2 * count)))
+    return near[np.abs(near[:, None] - roots).min(axis=1) >= 1e-3][:count]
+
+
+PGF_MODELS = [Poisson(0.4), Poisson(2.0), Poisson(9.7), Binomial(20, 0.35), Binomial(93, 0.8),
+              NegativeBinomial(3.0, 0.4), NegativeBinomial(0.7, 0.9)]
+
+
+class TestPgfArrays:
+    """``rounded_pgf`` and ``RoundedPmf.pgf`` over arrays of s."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_shape_is_preserved_and_a_scalar_gives_complex(self, n):
+        model, scheme = Poisson(2.0), RoundingScheme(n)
+        table = rounded_pmf(model, scheme, 1e-14)
+        points = disk_points(n, n, 6)
+        for form in (lambda s: rounded_pgf(model, scheme, s), table.pgf):
+            for s in (0.3 + 0.2j, np.complex128(0.3 + 0.2j), 0.5):
+                assert type(form(s)) is complex
+            assert type(form(np.asarray(0.3 + 0.2j))) is complex
+            assert form(np.asarray(0.3 + 0.2j)) == form(0.3 + 0.2j)
+            for shape in ((6,), (2, 3), (3, 1, 2)):
+                got = form(points.reshape(shape))
+                assert isinstance(got, np.ndarray) and got.shape == shape
+                assert got.dtype == complex
+            assert form(points[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 31, 99, 100, 101, 257])
+    def test_scalar_matches_its_written_form(self, n):
+        # Both sides raise s to integer powers by repeated squaring below
+        # n = 100; from there numpy takes the log route, whose error grows with n.
+        bound = 4 * np.finfo(float).eps * (n if n >= 100 else 1)
+        scheme = RoundingScheme(n)
+        points = [complex(s) for s in np.concatenate([disk_points(100 + n, n, 25),
+                                                      near_root_points(200 + n, n, 25)])]
+        points += [1.0, 0.0, 1e-7, 1.2, -1.0, 0.5, 1j, 1.0 + 1e-10, 0.9999999, 0.01, 0.2 - 0.1j,
+                   complex(scheme.table.omega_pow[-1] * (1 - 1e-8))]
+        raised = 0
+        for model in PGF_MODELS:
+            table = rounded_pmf(model, scheme, 1e-14)
+            for s in points:
+                for got, want in [(value_or_error(rounded_pgf, model, scheme, s),
+                                   value_or_error(rounded_pgf_as_written, model, scheme, s)),
+                                  (table.pgf(s), series_pgf_as_written(table, s))]:
+                    if type(want) is tuple:  # the same error type and message
+                        assert got == want, (model, n, s)
+                        raised += 1
+                    else:
+                        assert type(got) is complex, (model, n, s)
+                        assert abs(got - want) <= bound * abs(want), (model, n, s)
+        even = RoundingScheme(2 * n, HALF_EVEN)
+        assert (value_or_error(rounded_pgf, Poisson(2.0), even, 0.5)
+                == value_or_error(rounded_pgf_as_written, Poisson(2.0), even, 0.5))
+        assert raised > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 31])
+    @pytest.mark.parametrize("model", PGF_MODELS, ids=repr)
+    def test_each_element_is_its_scalar_call(self, model, n):
+        scheme = RoundingScheme(n)
+        table = rounded_pmf(model, scheme, 1e-14)
+        points = np.concatenate([disk_points(7 * n, n, 200), near_root_points(n, n, 200)])
+        eps = np.finfo(float).eps
+        for form in (lambda s: rounded_pgf(model, scheme, s), table.pgf):
+            got = form(points)
+            want = np.array([form(complex(s)) for s in points])
+            assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want)), (model, n)
+            assert np.array_equal(form(points.reshape(20, -1)).ravel(), got)
+
+    @pytest.mark.parametrize("n, bad, kind", [
+        (3, 1.0, NearRootOfUnityError),
+        (8, np.exp(2j * np.pi * 3 / 8) * (1 - 1e-8), NearRootOfUnityError),
+        (3, 1e-7 + 0j, NearRootOfUnityError),
+        (4, 0.0, NearRootOfUnityError),
+        (3, 1.2, ValueError),
+        (5, 0.8 + 0.7j, ValueError),
+        (1001, 0.1, ZeroDivisionError),
+    ])
+    def test_one_bad_point_raises_as_its_scalar_call(self, n, bad, kind):
+        model, scheme = Poisson(2.0), RoundingScheme(n)
+        with pytest.raises(kind) as scalar:
+            rounded_pgf(model, scheme, bad)
+        assert type(scalar.value) is kind
+        points = 0.9 * np.exp(1j * np.linspace(0.1, 6.0, 12))  # no check refuses these
+        points[5] = points[9] = bad
+        with pytest.raises(kind, match=r"s\[1, 1\]") as array:  # the first of the two
+            rounded_pgf(model, scheme, points.reshape(3, 4))
+        assert type(array.value) is kind
+
+    def test_near_zero_is_allowed_where_the_exponent_is_zero(self):
+        model = Poisson(2.0)
+        for n in (1, 2):
+            got = rounded_pgf(model, RoundingScheme(n), np.array([0.0, 0.5]))
+            assert got[0] == pytest.approx(rounded_pmf(model, RoundingScheme(n)).prob(0), abs=1e-14)
+
+    def test_half_even_array_is_refused_at_even_n(self):
+        with pytest.raises(ValueError, match="round-half-up"):
+            rounded_pgf(Poisson(2.0), RoundingScheme(2, HALF_EVEN), np.array([0.5, 0.1j]))
+
+    def test_oversized_calls_are_refused_before_allocation(self):
+        model, scheme = Poisson(2.0), RoundingScheme(1000)
+        points = np.full(MAX_TABLE_ENTRIES // 1000 + 1, 0.5 + 0j)
+        table = rounded_pmf(Poisson(1e6), RoundingScheme(1), 1e-14)
+        series_points = np.full(MAX_TABLE_ENTRIES // len(table.probs) + 1, 0.5 + 0j)
+        scheme.table  # built before tracing, as the cache holds it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_TABLE_ENTRIES}"):
+                rounded_pgf(model, scheme, points)
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_TABLE_ENTRIES}"):
+                table.pgf(series_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # One point fewer is evaluated.
+        assert rounded_pgf(model, scheme, points[1:2]).shape == (1,)
+        assert table.pgf(series_points[:-1][:3]).shape == (3,)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(PGF_MODELS), st.integers(2, 12), st.integers(0, 2**32 - 1),
+           st.integers(1, 40))
+    def test_array_forms_agree_property(self, model, n, seed, count):
+        scheme = RoundingScheme(n)
+        table = rounded_pmf(model, scheme, 1e-15)
+        points = disk_points(seed, n, count)
+        assert np.all(np.abs(rounded_pgf(model, scheme, points) - table.pgf(points)) < 1e-8)
 
 
 class TestMoments:

@@ -1,19 +1,22 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
 Runs ``perfbench/run.py`` of each checkout, one after the other, for N
-pairs.  Pair i runs both sides with seed ``--seed + i``, and the side that
-runs first alternates from pair to pair, so a drift in the machine's load
-falls on both sides alike.  For each end-to-end metric that
-``BENCHMARK.json`` lists, it prints each side's median and quartiles over
-the pairs and the number of pairs in which the change was better::
+pairs of each workload in turn.  Pair i runs both sides with seed
+``--seed + i``, and the side that runs first alternates from pair to pair,
+so a drift in the machine's load falls on both sides alike.  For each
+workload and each end-to-end metric that ``BENCHMARK.json`` lists, it
+prints each side's median and quartiles over the pairs and the number of
+pairs in which the change was better::
 
-    python tools/pairs.py --parent ../parent --change . --workload tables-wide \\
-        --pairs 10 --seed 1601 --seconds 30
+    python tools/pairs.py --parent ../parent --change . \\
+        --workload tables,mc-sim,mle-fit,tables-wide --pairs 10 --seed 1601 --seconds 30
 
-``--json PATH`` also writes every run's metrics.  The script only runs the
-checkouts' own ``perfbench/run.py`` (which cleans up its scratch directory
-at exit) and reads the JSON line it prints; it changes no file in either
-checkout.  Standard library only.
+``--workload`` takes one workload or a comma-separated list; the pairs of
+one workload all run before the next workload starts, and each gets its
+own summary block.  ``--json PATH`` also writes every run's metrics, keyed
+by workload.  The script only runs the checkouts' own ``perfbench/run.py``
+(which cleans up its scratch directory at exit) and reads the JSON line it
+prints; it changes no file in either checkout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -67,36 +70,50 @@ def summary(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
+def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed: int,
+              seconds: float) -> dict[str, list[dict]]:
+    """Every run of ``pairs`` alternating pairs of one workload, by side."""
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], workload, seed + i, seconds))
+        print(f"# {workload} pair {i + 1}/{pairs} seed {seed + i}, {order[0]} first: "
+              + "  ".join(f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
+                          for name in PROGRESS if name in runs["parent"][-1]),
+              flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, default=ROOT, help="checkout of the change (this one)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, metavar="NAME[,NAME...]",
+                        help="workload, or a comma-separated list run one after another")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--json", type=Path, default=None, help="write every run's metrics here")
+    parser.add_argument("--json", type=Path, default=None,
+                        help="write every run's metrics here, keyed by workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        parser.error(f"--workload {args.workload!r} names an empty workload")
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
-        print(f"# pair {i + 1}/{args.pairs} seed {seed}, {order[0]} first: "
-              + "  ".join(f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
-                          for name in PROGRESS if name in runs["parent"][-1]),
-              flush=True)
-    print(f"# workload={args.workload} pairs={args.pairs} seeds={args.seed}-"
-          f"{args.seed + args.pairs - 1} seconds={args.seconds}")
-    print("\n".join(summary(metrics, runs)))
+    every = {}
+    for workload in workloads:
+        every[workload] = run_pairs(sides, workload, args.pairs, args.seed, args.seconds)
+    for workload, runs in every.items():
+        print(f"# workload={workload} pairs={args.pairs} seeds={args.seed}-"
+              f"{args.seed + args.pairs - 1} seconds={args.seconds}")
+        print("\n".join(summary(metrics, runs)))
     if args.json is not None:
-        args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed, **runs},
-                                        indent=1))
+        args.json.write_text(json.dumps({"seed": args.seed, "pairs": args.pairs,
+                                         "seconds": args.seconds, "workloads": every}, indent=1))
     return 0
 
 
