@@ -8,7 +8,7 @@ misspecified normal test, and an exact conservative test binned on the
 rounded lattice).
 
 Every level and cut is read off two tails of the latent count at block
-edges; no table of U is built.
+edges; no table of U is built for them.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ def excess_moments(design: ExcessDeathsDesign) -> ExcessMoments:
 
     The rounded contrast u2 - (n2/n1) u1 has mean E(U2) - (n2/n1) E(U1) and,
     by independence of the periods, variance Var(U2) + (n2/n1)^2 Var(U1),
-    each period's moments coming from the Poisson closed form.  The
-    unrounded reference values are beta + theta (1 - n2/n1) and
-    beta + theta (1 + n2^2/n1^2).
+    each period's moments coming from the cheaper exact route of
+    ``rounded_moments_poisson``: the series within its error bound, or the
+    table of U.  The unrounded reference values are beta + theta (1 - n2/n1)
+    and beta + theta (1 + n2^2/n1^2).
     """
     post = rounded_moments_poisson(design.theta + design.beta, design.n2)
     pre = rounded_moments_poisson(design.theta, design.n1)

@@ -66,13 +66,15 @@ from .rounding import (
     HALF_EVEN,
     HALF_UP,
     MAX_TABLE_ENTRIES,
+    SERIES_RTOL,
     TAIL_EPS,
     NearRootOfUnityError,
     NumericalInconsistencyError,
     RoundingScheme,
+    _accepted,
     _latent_window,
+    _moments_series,
     _table_over,
-    rounded_moments_series,
     rounded_pgf,
     rounded_pmf,
 )
@@ -366,14 +368,29 @@ def _cmd_pgf_check(args, seed):
 
 
 def _cmd_moments(args, seed):
+    """The paper's series and the enumerated table of U, one row each.
+
+    The series row is the formula as computed (``_moments_series``), with a
+    negative variance within its bound set to 0.  Where its forward error
+    bound exceeds ``SERIES_RTOL`` the row is left out and stderr says why;
+    the header records the bound (``series_error_bound``) and whether the
+    row was refused (``series_refused``).
+    """
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
+    raw = _moments_series(model, scheme)
+    series = _accepted(raw)
     rows = []
-    series = rounded_moments_series(model, scheme)
-    rows.append(["series", series.mean, series.variance, series.imag_residual])
+    if series is None:
+        print(json.dumps({"warning": f"series row left out: its error bound {raw.error_bound:.3e} "
+                                     f"is over {SERIES_RTOL:.0e} of max(1, |value|)"}),
+              file=sys.stderr)
+    else:
+        rows.append(["series", series.mean, series.variance, series.imag_residual])
     table = rounded_pmf(model, scheme, 1e-14)
     rows.append(["enumeration", table.mean(), table.variance(), 0.0])
-    config = {**model_cfg, "n": args.n, "seed": seed}
+    config = {**model_cfg, "n": args.n, "seed": seed, "series_error_bound": raw.error_bound,
+              "series_refused": series is None}
     return config, ["method", "mean", "variance", "imag_residual"], rows
 
 

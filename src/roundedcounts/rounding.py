@@ -9,21 +9,27 @@ probabilities of Y per lattice point.  This module provides:
   points between two tail quantiles of Y (both tie rules), and the binned
   log-likelihood log P(U = u) of one block, read off the same tails,
 * the generating function of U as a roots-of-unity filter applied to the
-  generating function of Y (round-half-up only),
-* exact E(U) and Var(U) via the alternating roots-of-unity series, with
+  generating function of Y (round-half-up only), refused at any point where
+  its forward error bound exceeds ``SERIES_RTOL``,
+* exact E(U) and Var(U) by the cheaper exact route: the paper's alternating
+  roots-of-unity series, accepted only within its forward error bound, or
+  the mean and variance of the table of U, which is short exactly where the
+  series is long or inexact (n much larger than the spread of Y); with
   input-checked Poisson and binomial entry points,
 * sampling of U, and large-sample reference values for the mean of the
   product-form estimator recovering the Poisson rate from U.
 
-The complex series are real-valued by conjugate symmetry; finite precision
-leaks a small imaginary part which is surfaced as a diagnostic rather than
-silently discarded.
+Both roots-of-unity sums share one bound (``_roundoff_bound``): each term's
+rounding error, with the rounding error of the root amplified by the
+reciprocal distance to it, summed in absolute value.  The complex series
+are real-valued by conjugate symmetry; the imaginary part that finite
+precision leaks is reported as a diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -61,9 +67,12 @@ _TIE_RULES = (HALF_UP, HALF_EVEN)
 #: allocated.
 MAX_TABLE_ENTRIES = 2**22
 
-#: Moment computations reject results whose discarded imaginary part
-#: exceeds this magnitude.
-IMAG_RESIDUAL_LIMIT = 1e-9
+#: A roots-of-unity sum (the moment series, the generating-function filter)
+#: is accepted only while its forward error bound is at most this times
+#: max(1, |value|).
+SERIES_RTOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
 
 #: Direct generating-function evaluation is refused this close to a root of
 #: unity (the singularities are removable but cancellation is catastrophic).
@@ -77,8 +86,7 @@ class NearRootOfUnityError(ValueError):
 
 
 class NumericalInconsistencyError(ArithmeticError):
-    """Raised when realizing a complex series leaves a non-negligible
-    imaginary residue or a negative variance."""
+    """Raised when a closed form's forward error bound exceeds ``SERIES_RTOL``."""
 
 
 @dataclass(frozen=True)
@@ -125,12 +133,37 @@ class RootsOfUnityTable:
         one_minus = 1.0 - omega
         return np.conj(omega), one_minus, omega * one_minus, one_minus**2
 
+    @cached_property
+    def root_error(self) -> np.ndarray:
+        """A bound on |computed - exact| of ``omega_pow[j]`` in units of eps:
+        1 + 2*phi at the angle phi = 2*pi*j/n.  The angle's two roundings
+        move it by up to eps*phi; near j = n they take one sign over many
+        roots, so the bound counts them twice."""
+        return 1.0 + 4.0 * np.pi * np.arange(self.n) / self.n
+
+    @cached_property
+    def bound_weights(self) -> np.ndarray:
+        """Weights of the moment series' error bound over |G| and then |G'|
+        at j = 1..n-1 (see ``_moments_series``), one row per sum bounded:
+        [w*(c + rho*w), rho*w] for s1, [w**2*(c + 2*rho*w), w*(c + rho*(2*w + 1))]
+        for s2, and [0, rho*w] for the part of s2's bound that scales with
+        the latent factorial moments.  Here w = 1/|1 - omega|, rho =
+        ``root_error`` and c = 2 + log2(n) roundings for each term's
+        arithmetic and the sum."""
+        w = 1.0 / np.abs(self.series_factors[1])
+        rho, c = self.root_error[1:], 2.0 + math.log2(self.n)
+        return np.array([np.concatenate((w * (c + rho * w), rho * w)),
+                         np.concatenate((w * w * (c + 2.0 * rho * w),
+                                         w * (c + rho * (2.0 * w + 1.0)))),
+                         np.concatenate((np.zeros_like(w), rho * w))])
+
 
 #: Most roots of unity the table cache holds, summed over its tables.  A
 #: table holds at most 6 complex arrays of n entries (its roots and
-#: coefficients, and the series factors once read), 96 bytes per root, so
-#: the cache never holds more than 24 MiB.  A table for a larger n is built
-#: on each call and not kept.
+#: coefficients, and the series factors once read) and 7 real ones (the
+#: roots' error and the bound weights), 152 bytes per root, so the cache
+#: never holds more than 38 MiB.  A table for a larger n is built on each
+#: call and not kept.
 ROOTS_CACHE_LIMIT = 2**18
 
 _ROOTS_CACHE: dict[int, RootsOfUnityTable] = {}
@@ -151,9 +184,14 @@ def roots_of_unity(n: int) -> RootsOfUnityTable:
     return table
 
 
-def _roots_table(n: int) -> RootsOfUnityTable:
+def _check_group_count(n: int):
+    """Refuse a group count with no roots-of-unity table, before anything is allocated."""
     if n > MAX_TABLE_ENTRIES:
         raise ValueError(f"a roots-of-unity table for n={n} is over the limit of {MAX_TABLE_ENTRIES}")
+
+
+def _roots_table(n: int) -> RootsOfUnityTable:
+    _check_group_count(n)
     j = np.arange(n)
     omega_pow = np.exp(2j * np.pi * j / n)
     sign = np.where(j % 2 == 0, 1.0, -1.0)
@@ -457,6 +495,17 @@ def _check_entries(points: int, per_point: int, what: str):
                          f"{points * per_point} entries, over the limit of {MAX_TABLE_ENTRIES}")
 
 
+def _roundoff_bound(values: np.ndarray, weights) -> np.ndarray:
+    """eps * sum_j |values_j| * weights_j along the last axis: the forward
+    error bound of a sum over the roots of unity whose j-th term is off by at
+    most eps * |values_j| * weights_j.  The weights carry each term's own
+    roundings and the rounding of its root, amplified by the reciprocal
+    distance to it; the moment series and the generating-function filter
+    both bound their sums with it."""
+    # One dot product per row, as np.vecdot (numpy >= 2) would take it.
+    return _EPS * np.matmul(weights[..., None, :], np.abs(values)[..., :, None])[..., 0, 0]
+
+
 def _first_point(flags: np.ndarray) -> str:
     """The name of the first flagged point of s: "s" for a scalar, else "s[i, ...]"."""
     if flags.ndim == 0:
@@ -478,6 +527,12 @@ def rounded_pgf(model: CountDistribution, scheme: RoundingScheme, s):
     outside the disk, or an array whose size times n exceeds
     ``MAX_TABLE_ENTRIES``, raises ValueError.  Every check covers the whole
     array before anything is evaluated.
+
+    The prefactor multiplies the sum's rounding error, by about |s|**(-n/2)
+    at small |s|, so each point's forward error bound (``_roundoff_bound``
+    times |prefactor|) is checked after evaluation: a point whose bound
+    exceeds ``SERIES_RTOL`` (the value lies in the unit disk) raises
+    :class:`NumericalInconsistencyError`, naming the first such point.
     """
     _require_half_up(scheme, "the generating-function formula")
     n = scheme.n
@@ -490,7 +545,8 @@ def rounded_pgf(model: CountDistribution, scheme: RoundingScheme, s):
     table = scheme.table
     _check_entries(s.size, n, "roots of unity")
     diff = s[..., None] - table.omega_pow
-    near_root = np.abs(diff).min(axis=-1) <= POLE_GUARD_RADIUS
+    distance = np.abs(diff)
+    near_root = distance.min(axis=-1) <= POLE_GUARD_RADIUS
     if near_root.any():
         raise NearRootOfUnityError(
             f"{_first_point(near_root)} lies within the guard radius of a root of unity; "
@@ -511,77 +567,168 @@ def rounded_pgf(model: CountDistribution, scheme: RoundingScheme, s):
     prefactor = (np.power(s, n) - 1.0) / denominator
     terms = table.coeff_a * model.pgf(s[..., None] / table.omega_pow) / diff
     total = prefactor * terms.sum(axis=-1)
+    # A term is off by its own rounding, the root's error amplified by
+    # 1/|s - omega| and, through the latent generating function, by its mean.
+    bound = np.abs(prefactor) * _roundoff_bound(
+        terms, (1.0 + model.mean()) + table.root_error / distance)
+    if not (bound <= SERIES_RTOL).all():
+        inexact = ~(bound <= SERIES_RTOL)
+        raise NumericalInconsistencyError(
+            f"the closed form's error bound at {_first_point(inexact)} is "
+            f"{float(bound[inexact][0]):.3e}, over {SERIES_RTOL:.0e}; "
+            "evaluate the tabulated series from rounded_pmf instead"
+        )
     return complex(total) if s.ndim == 0 else total
 
 
 @dataclass
 class MomentReport:
-    """E(U) and Var(U) with the largest imaginary magnitude discarded when
-    the complex series was realized to real numbers."""
+    """E(U) and Var(U), the route that gave them and its diagnostics.
+
+    ``route`` is "series" (the alternating roots-of-unity series) or "table"
+    (the mean and variance of the table of U).  For the series,
+    ``imag_residual`` is the largest imaginary magnitude discarded when the
+    complex sums were realized, and ``error_bound`` the forward error bound
+    of the mean and of the variance, each relative to max(1, |value|), the
+    larger of the two.  A table has no imaginary part and no series bound:
+    0 and NaN.
+    """
 
     mean: float
     variance: float
     imag_residual: float
+    route: str = "table"
+    error_bound: float = math.nan
 
 
-def _assemble_moments(ey: float, vy: float, gv: np.ndarray, gdv: np.ndarray,
-                      table: RootsOfUnityTable) -> MomentReport:
-    """Combine latent moments with generating-function values at the
-    reciprocal roots of unity (indices j = 1..n-1)."""
-    n, r = table.n, table.offset_r
-    coeff = table.coeff_a[1:]
-    _, one_minus, omega_one_minus, one_minus_sq = table.series_factors
-    s1 = np.sum(coeff * gv / one_minus)
-    s2 = np.sum(coeff * (gdv / omega_one_minus - gv / one_minus_sq))
-    mean_c = ey + 0.5 * (2.0 * r - 1.0) + s1
-    var_c = vy + (n * n - 1.0) / 12.0 - (2.0 * ey - 1.0) * s1 - s1 * s1 + 2.0 * s2
-    residual = max(abs(mean_c.imag), abs(var_c.imag)) if n > 1 else 0.0
-    if residual > IMAG_RESIDUAL_LIMIT:
-        raise NumericalInconsistencyError(
-            f"imaginary residual {residual:.3e} exceeds {IMAG_RESIDUAL_LIMIT:.0e}"
-        )
-    variance = float(np.real(var_c))
-    if variance < 0.0:
-        if variance < -1e-12:
-            raise NumericalInconsistencyError(f"negative variance {variance:.3e}")
-        variance = 0.0
-    return MomentReport(mean=float(np.real(mean_c)), variance=variance, imag_residual=float(residual))
-
-
-def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> MomentReport:
-    """E(U) and Var(U) from the generic alternating series over reciprocal
-    roots of unity (round-half-up).  At n = 1 the sums are empty and the
-    latent moments are returned unchanged.
+def _moments_series(model: CountDistribution, scheme: RoundingScheme) -> MomentReport:
+    """The paper's alternating series for E(U) and Var(U) (round-half-up) as
+    computed, with its forward error bound; nothing is refused or clamped.
+    At n = 1 the sums are empty and the latent moments are returned.
 
     The generating function of Y and its derivative at the reciprocal roots
     come from one evaluation (``CountDistribution._pgf_pair``), and the
     factors in the roots from the cached table, so the cost is about one
-    complex exponential per root.
+    complex exponential per root.  The bound takes each term's roundings
+    and the rounding of its root amplified by w = 1/|1 - omega|, up to
+    w**3 in the variance, so it grows like n**3 where the terms do not
+    decay (n much larger than the spread of Y); the latent generating
+    function's sensitivity to the root enters through its derivative and,
+    for the derivative, E[Y(Y - 1)]/E(Y).
     """
     _require_half_up(scheme, "the moment series")
     table = scheme.table
-    gv, gdv = model._pgf_pair(table.series_factors[0])
-    return _assemble_moments(model.mean(), model.variance(), gv, gdv, table)
+    n, r = table.n, table.offset_r
+    ey, vy = model.mean(), model.variance()
+    coeff = table.coeff_a[1:]
+    conj_omega, one_minus, omega_one_minus, one_minus_sq = table.series_factors
+    gv, gdv = model._pgf_pair(conj_omega)
+    s1 = np.sum(coeff * gv / one_minus)
+    s2 = np.sum(coeff * (gdv / omega_one_minus - gv / one_minus_sq))
+    mean_c = ey + 0.5 * (2.0 * r - 1.0) + s1
+    var_c = vy + (n * n - 1.0) / 12.0 - (2.0 * ey - 1.0) * s1 - s1 * s1 + 2.0 * s2
+    mean_c, var_c, a1, a2 = complex(mean_c), complex(var_c), abs(complex(s1)), abs(complex(s2))
+    residual = max(abs(mean_c.imag), abs(var_c.imag)) if n > 1 else 0.0
+    mean, variance = mean_c.real, var_c.real
+    # |coeff| = |omega| = 1, so the terms' magnitudes are |G| and |G'| times powers of w.
+    err_s1, err_s2, err_factorial = _roundoff_bound(np.concatenate((gv, gdv)),
+                                                    table.bound_weights).tolist()
+    if ey > 0:  # G'' moves by E[Y(Y-1)]/E(Y) times G' where the root is off
+        err_s2 += (vy / ey + ey - 1.0) * err_factorial
+    b = abs(2.0 * ey - 1.0)
+    last = _EPS * (2.0 + math.log2(n))  # the final combinations and the latent moments
+    mean_bound = err_s1 + last * (abs(ey) + 0.5 + a1)
+    var_bound = ((b + 2.0 * a1) * err_s1 + 2.0 * err_s2
+                 + last * (vy + n * n / 12.0 + b * a1 + a1 * a1 + 2.0 * a2))
+    bound = max(mean_bound / max(1.0, abs(mean)), var_bound / max(1.0, abs(variance)))
+    return MomentReport(mean, variance, residual, "series", bound)
+
+
+def _accepted(report: MomentReport) -> MomentReport | None:
+    """A series report within ``SERIES_RTOL``, its negative variance within
+    the bound set to 0; None where the bound is over it, or a negative
+    variance lies beyond it."""
+    if not report.error_bound <= SERIES_RTOL:
+        return None
+    if report.variance < 0.0:
+        if report.variance < -report.error_bound * max(1.0, -report.variance):
+            return None
+        return replace(report, variance=0.0)
+    return report
+
+
+#: Measured costs of the two moment routes in us, on one core of a 2-CPU
+#: x86-64 machine: the series (fixed, per root) and the table of U with its
+#: window search (fixed, per entry).
+_ROUTE_COSTS = {
+    "poisson": (13.0, 0.024, 24.0, 0.2),
+    "binomial": (20.0, 0.126, 25.0, 0.6),
+    "negbinomial": (19.0, 0.074, 50.0, 0.47),
+}
+
+
+def _table_is_cheaper(model: CountDistribution, n: int, tail_eps: float) -> bool:
+    """Whether the table of U costs less than the series, by ``_ROUTE_COSTS``
+    and the table length estimated from the mean, sd and skewness of Y: the
+    Cornish-Fisher window of ``support_window`` with z = sqrt(2 log(1/tail_eps)),
+    a little above the normal quantile.  No tail is read."""
+    series_fixed, per_root, table_fixed, per_entry = _ROUTE_COSTS[model.kind]
+    series = series_fixed + per_root * n
+    if series <= table_fixed:
+        return False
+    mean, sd = model.mean(), math.sqrt(model.variance())
+    z = math.sqrt(2.0 * math.log(1.0 / tail_eps))
+    shift = (z * z - 1.0) * model.skewness() / 6.0 if sd > 0 else 0.0
+    lo, hi = max(0.0, mean + sd * (shift - z)), mean + sd * (shift + z)
+    entries = (hi - lo) / n + 2.0
+    return table_fixed + per_entry * entries < series
+
+
+def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> MomentReport:
+    """Exact E(U) and Var(U) by the cheaper exact route (round-half-up).
+
+    Where the table of U is the cheaper route by its estimated length
+    (``_table_is_cheaper``), its mean and variance are returned; everywhere
+    else the alternating series over the reciprocal roots of unity
+    (``_moments_series``), accepted only while its forward error bound is
+    within ``SERIES_RTOL`` (a negative variance within the bound becomes
+    0), and the table where it is not.  The series is long and inexact
+    where n is large against the spread of Y, and the table short there:
+    about 2*z*sd/n + 1 entries, z = 7 to 10.  The table leaves out at most
+    ``TAIL_EPS``/n**2 each side, so the mass left out moves the variance by
+    far less than ``SERIES_RTOL`` even where it sits n or more from the
+    mean.  A group count over ``MAX_TABLE_ENTRIES`` and half-even at even n
+    raise ValueError before anything is evaluated.
+    """
+    _require_half_up(scheme, "the moment series")
+    n = scheme.n
+    _check_group_count(n)
+    tail_eps = TAIL_EPS / (n * n)
+    if not _table_is_cheaper(model, n, tail_eps):
+        report = _accepted(_moments_series(model, scheme))
+        if report is not None:
+            return report
+    table = _table_over(model, scheme, _latent_window(model, tail_eps))
+    return MomentReport(table.mean(), table.variance(), 0.0)
 
 
 def rounded_moments_poisson(theta: float, n: int) -> MomentReport:
-    """Closed-form E(U) and Var(U) for a Poisson latent total with mean theta.
+    """Exact E(U) and Var(U) for a Poisson latent total with mean theta,
+    by the routes of :func:`rounded_moments_series`.
 
-    This is the series of :func:`rounded_moments_series` with the Poisson
-    generating function, exp(theta*(1/omega**j - 1)), whose real exponent
-    part is non-positive, so the evaluation cannot overflow for large theta.
+    The series' Poisson generating function, exp(theta*(1/omega**j - 1)),
+    has a non-positive real exponent, so it cannot overflow for large theta.
     """
     return rounded_moments_series(Poisson(theta), RoundingScheme(n))
 
 
 def rounded_moments_binomial(trials: int, prob: float, n: int) -> MomentReport:
-    """Closed-form E(U) and Var(U) for a binomial latent total.
+    """Exact E(U) and Var(U) for a binomial latent total, by the routes of
+    :func:`rounded_moments_series`.
 
-    The closed form is stated for totals over whole groups, so ``trials``
-    must be a multiple of ``n``.  It is the series of
-    :func:`rounded_moments_series` with the binomial generating function,
-    whose powers are taken through the complex log to stay finite for very
-    large trial counts.
+    The paper states the closed form for totals over whole groups, so
+    ``trials`` must be a multiple of ``n``.  The series' binomial powers are
+    taken through the complex log to stay finite for very large trial counts.
     """
     scheme = RoundingScheme(n)
     if trials % n != 0:

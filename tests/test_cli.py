@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import roundedcounts
 from roundedcounts import Poisson, RoundingScheme, rounded_moments_poisson, rounded_pmf
 from roundedcounts import cli
 from roundedcounts.cli import build_parser, main, parse_float_list, parse_int_list
-from roundedcounts.rounding import MAX_TABLE_ENTRIES, TAIL_EPS
+from roundedcounts.rounding import MAX_TABLE_ENTRIES, SERIES_RTOL, TAIL_EPS
 from roundedcounts.tableio import format_cell, read_csv
 
 
@@ -114,6 +115,43 @@ def test_moments_output(capsys):
     assert values["series"]["mean"] == pytest.approx(0.19063462346100907, abs=1e-15)
     assert values["series"]["variance"] == report.variance
     assert values["enumeration"]["mean"] == pytest.approx(report.mean, abs=1e-10)
+
+
+def test_moments_header_records_the_series_bound(capsys):
+    code, out, err = run_cli(capsys, "moments", "--theta", "2", "--n", "7")
+    assert (code, err) == (0, "")
+    config, _, rows = read_csv(io.StringIO(out))
+    assert [row[0] for row in rows] == ["series", "enumeration"]
+    assert config["series_refused"] is False
+    assert 0.0 < config["series_error_bound"] <= SERIES_RTOL
+
+
+@pytest.mark.parametrize("theta, n", [(0.1, 1000), (3.0, 365), (972.0, 5000)])
+def test_moments_series_row_is_refused_alone(capsys, theta, n):
+    code, out, err = run_cli(capsys, "moments", "--theta", str(theta), "--n", str(n))
+    assert code == 0
+    config, _, rows = read_csv(io.StringIO(out))
+    assert [row[0] for row in rows] == ["enumeration"]
+    assert config["series_refused"] is True and config["series_error_bound"] > SERIES_RTOL
+    assert "series row left out" in json.loads(err.strip())["warning"]
+
+
+def test_moments_negative_series_variance_within_its_bound_is_zero(capsys):
+    # The series raised "negative variance" here.
+    code, out, _ = run_cli(capsys, "moments", "--theta", "0.097", "--n", "100")
+    assert code == 0
+    _, _, rows = read_csv(io.StringIO(out))
+    assert [(row[0], row[2]) for row in rows] == [("series", 0.0), ("enumeration", 0.0)]
+
+
+def test_excess_deaths_at_large_group_counts(capsys):
+    code, out, _ = run_cli(capsys, "excess-deaths", "--n1", "365", "--n2", "365",
+                           "--theta", "3", "--beta", "1")
+    assert code == 0
+    _, columns, rows = read_csv(io.StringIO(out))
+    values = dict(rows)
+    assert columns == ["quantity", "value"]
+    assert (values["mean_rounded"], values["var_rounded"]) == (0.0, 0.0)
 
 
 def test_mle_subcommand(capsys):
@@ -474,13 +512,48 @@ def pgf_check_rows(capsys, *argv):
                                    ["--dist", "binomial", "--trials", "30", "--prob", "0.3"],
                                    ["--dist", "negbinomial", "--nb-size", "2.5", "--prob", "0.6"]])
 def test_pgf_check_points_are_the_loop_samplers(capsys, model):
-    for n in (1, 2, 3, 8, 31):
+    for n in (1, 2, 3, 8):
         for seed in (1, 5, 12345):
             argv = [*model, "--n", str(n), "--points", "41", "--seed", str(seed)]
             out, rows = pgf_check_rows(capsys, *argv)
             want = [[format_cell(s.real), format_cell(s.imag)] for s in loop_points(seed, n, 41)]
             assert [row[:2] for row in rows] == want, argv
             assert pgf_check_rows(capsys, *argv)[0] == out
+    # At n = 31 the closed form refuses some points as inexact, so the
+    # sampler is compared on its own.
+    roots = RoundingScheme(31).table.omega_pow
+    for seed in (1, 5, 12345):
+        drawn = np.concatenate(list(cli._disk_points(np.random.default_rng(seed), roots, 41, 31)))
+        assert drawn.tolist() == loop_points(seed, 31, 41)
+
+
+@pytest.mark.parametrize("argv", [["--theta", "2", "--n", "300", "--points", "50"],
+                                  ["--theta", "2", "--n", "31", "--points", "37",
+                                   "--seed", "12345"]])
+def test_pgf_check_refuses_an_inexact_closed_form(capsys, argv):
+    # Both exited 0 with abs_diff 4.8e154 and 1.81.
+    code, out, err = run_cli(capsys, "pgf-check", *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err.strip())
+    assert error["type"] == "NumericalInconsistencyError" and "error bound" in error["error"]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([["--theta", "0.3"], ["--theta", "2"], ["--theta", "9.7"],
+                        ["--dist", "binomial", "--trials", "40", "--prob", "0.35"],
+                        ["--dist", "negbinomial", "--nb-size", "2.5", "--prob", "0.6"]]),
+       st.integers(1, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_pgf_check_exits_0_only_within_tolerance_property(capsys, model, n, points, seed):
+    code, out, err = run_cli(capsys, "pgf-check", *model, "--n", str(n), "--points", str(points),
+                             "--seed", str(seed))
+    if code == 0:
+        _, columns, rows = read_csv(io.StringIO(out))
+        assert max(row[columns.index("abs_diff")] for row in rows) <= 1e-9
+    else:
+        assert code == 1
+        assert json.loads(err.strip())["type"] in ("NumericalInconsistencyError",
+                                                   "ZeroDivisionError")
 
 
 @pytest.mark.parametrize("theta, n", [(2.0, 8), (40.0, 1)])

@@ -17,15 +17,24 @@ own summary block.  ``--json PATH`` also writes every run's metrics, keyed
 by workload.  The script only runs the checkouts' own ``perfbench/run.py``
 (which cleans up its scratch directory at exit) and reads the JSON line it
 prints; it changes no file in either checkout.  Standard library only.
+
+Both sides compile their bytecode on the same footing: each side gets a
+fresh, empty ``PYTHONPYCACHEPREFIX`` directory, removed at exit, and
+``PYTHONDONTWRITEBYTECODE`` is dropped, so the first run of a side writes
+its cache and later runs read it.  Without this a copied checkout can hold
+stale ``.pyc`` files that, with writing off, are recompiled on every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,11 +43,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PROGRESS = ("wall_s", "op_p50_ms", "op_p90_ms")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """The end-to-end metrics of one ``perfbench/run.py`` run in ``checkout``."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             pycache: Path) -> dict[str, float]:
+    """The end-to-end metrics of one ``perfbench/run.py`` run in ``checkout``,
+    its bytecode cached under ``pycache``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr.strip()}")
@@ -70,14 +83,14 @@ def summary(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     return lines
 
 
-def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed: int,
-              seconds: float) -> dict[str, list[dict]]:
+def run_pairs(sides: dict[str, Path], pycaches: dict[str, Path], workload: str, pairs: int,
+              seed: int, seconds: float) -> dict[str, list[dict]]:
     """Every run of ``pairs`` alternating pairs of one workload, by side."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], workload, seed + i, seconds))
+            runs[side].append(run_once(sides[side], workload, seed + i, seconds, pycaches[side]))
         print(f"# {workload} pair {i + 1}/{pairs} seed {seed + i}, {order[0]} first: "
               + "  ".join(f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
                           for name in PROGRESS if name in runs["parent"][-1]),
@@ -105,8 +118,14 @@ def main(argv=None) -> int:
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     every = {}
-    for workload in workloads:
-        every[workload] = run_pairs(sides, workload, args.pairs, args.seed, args.seconds)
+    cache_root = Path(tempfile.mkdtemp(prefix="pairs-pycache-"))
+    try:
+        pycaches = {side: cache_root / side for side in sides}
+        for workload in workloads:
+            every[workload] = run_pairs(sides, pycaches, workload, args.pairs, args.seed,
+                                        args.seconds)
+    finally:
+        shutil.rmtree(cache_root, ignore_errors=True)
     for workload, runs in every.items():
         print(f"# workload={workload} pairs={args.pairs} seeds={args.seed}-"
               f"{args.seed + args.pairs - 1} seconds={args.seconds}")
