@@ -374,7 +374,11 @@ def _cmd_moments(args, seed):
     negative variance within its bound set to 0.  Where its forward error
     bound exceeds ``SERIES_RTOL`` the row is left out and stderr says why;
     the header records the bound (``series_error_bound``) and whether the
-    row was refused (``series_refused``).
+    row was refused (``series_refused``).  The enumeration leaves out at
+    most ``TAIL_EPS/n**2`` each side, the cut of the routed table in
+    ``rounded_moments_series`` (a far block weighs up to n**2 in the
+    variance), clamped to 1e-14 so that the rows at n <= 10 stay as they
+    were; a change to that cut belongs in both places.
     """
     model, model_cfg = _build_model(args)
     scheme = RoundingScheme(args.n, HALF_UP)
@@ -387,7 +391,7 @@ def _cmd_moments(args, seed):
               file=sys.stderr)
     else:
         rows.append(["series", series.mean, series.variance, series.imag_residual])
-    table = rounded_pmf(model, scheme, 1e-14)
+    table = rounded_pmf(model, scheme, min(1e-14, TAIL_EPS / args.n**2))
     rows.append(["enumeration", table.mean(), table.variance(), 0.0])
     config = {**model_cfg, "n": args.n, "seed": seed, "series_error_bound": raw.error_bound,
               "series_refused": series is None}

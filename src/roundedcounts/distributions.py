@@ -6,10 +6,14 @@ the log domain (log-gamma for factorials) so that large counts and large
 rate parameters do not overflow.  Tails come from ``scipy.special``
 (regularized incomplete gamma and beta functions), except the Poisson
 upper tail 4.5 sd and more above a mean of 5e4 or more, which is Temme's
-uniform asymptotic expansion: each family supplies its two raw tail
-functions, and the base class floors k and fills in the values outside the
-support.  Generating functions accept complex arguments because the
-rounding machinery evaluates them at roots of unity; each family gives the
+uniform asymptotic expansion.  Each family supplies its two raw tail
+functions for points inside the support, and only the base class reads
+them: ``cdf``/``sf`` take an integer scalar on a short path and floor any
+other k, and give the exact values below 0 and at or past the largest
+support point; ``_edge_tails`` reads the sorted block edges of a table.
+The support window and every other module read the tails through these.
+Generating functions accept complex arguments because the rounding
+machinery evaluates them at roots of unity; each family gives the
 generating function and its derivative together from one evaluation
 (``_pgf_pair``), for the moment series.
 
@@ -20,6 +24,7 @@ to know about each family; other modules look a family up there.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -73,20 +78,37 @@ class CountDistribution:
         return np.exp(self.logpmf(k))
 
     def cdf(self, k):
-        """P(Y <= k)."""
+        """P(Y <= k).
+
+        An integer scalar k (``int`` or ``np.integer``) takes a short path
+        that checks the support before the raw tail reads it; any other k is
+        floored first.  Either way the result is a ``np.float64``, or an
+        array shaped like k, and equal bit for bit for the same point.
+        """
+        if isinstance(k, int) or isinstance(k, np.integer):
+            top = self.upper_support()
+            if 0 <= k and (top is None or k < top):
+                return self._cdf_at(float(k))
+            return np.float64(k >= 0)
         return self._tail(k, self._cdf_at, 0.0, 1.0)
 
     def sf(self, k):
-        """P(Y > k)."""
+        """P(Y > k), by the same two paths as ``cdf``."""
+        if isinstance(k, int) or isinstance(k, np.integer):
+            top = self.upper_support()
+            if 0 <= k and (top is None or k < top):
+                return self._sf_at(float(k))
+            return np.float64(k < 0)
         return self._tail(k, self._sf_at, 1.0, 0.0)
 
     def _cdf_at(self, k):
-        """P(Y <= k) for float k with 0 <= k < upper_support(): one ufunc call."""
+        """P(Y <= k) for float k with 0 <= k < upper_support(), a float or an
+        array: one ufunc call.  Outside that range it may read wrong (0.0 at
+        the top of ``Binomial(N, 1.0)``), so only this class calls it."""
         raise NotImplementedError
 
     def _sf_at(self, k):
-        """P(Y > k) for float k with 0 <= k < upper_support(), a float or an
-        array; the window search's float k is not wrapped in an array."""
+        """P(Y > k) on the terms of ``_cdf_at``."""
         raise NotImplementedError
 
     def _tail(self, k, at, below: float, above: float):
@@ -98,6 +120,25 @@ class CountDistribution:
             return np.where(k < 0, below, at(np.maximum(k, 0.0)))[()]
         out = at(np.minimum(np.maximum(k, 0.0), top - 1.0))
         return np.where(k < 0, below, np.where(k >= top, above, out))[()]
+
+    def _edge_tails(self, edges: np.ndarray, upper: bool) -> np.ndarray:
+        """P(Y > k) if upper, else P(Y <= k), at a non-empty increasing float
+        array of the block edges k >= -1 of one table (``rounded_pmf``).
+
+        Only the first edge can be -1 and only the last one can reach the
+        largest support point, since the window lies inside the support.
+        Those take their exact values and the raw tail reads the rest, which
+        costs less than ``cdf``/``sf`` flooring, clipping and masking every
+        edge.
+        """
+        top = self.upper_support()
+        below = int(edges[0] < 0)
+        past = int(top is not None and edges[-1] >= top)
+        inside = (self._sf_at if upper else self._cdf_at)(edges[below:len(edges) - past])
+        if not (below or past):
+            return inside
+        return np.concatenate(([1.0 if upper else 0.0] * below, inside,
+                               [0.0 if upper else 1.0] * past))
 
     def pgf(self, s):
         """E(s**Y) as a complex number (closed form)."""
@@ -119,43 +160,49 @@ class CountDistribution:
         """Largest support point, or None when the support is unbounded."""
         return None
 
+    def _cornish_fisher(self, z: float) -> tuple[float, float]:
+        """Cornish-Fisher estimates ``mean + sd*(-+z + (z**2 - 1)*skew/6)`` of
+        the two quantiles that leave out the normal tail beyond z, from the
+        mean, sd and closed-form skewness; no tail is read."""
+        mean, sd = self.mean(), math.sqrt(self.variance())
+        shift = (z * z - 1.0) * self.skewness() / 6.0 if sd > 0 else 0.0
+        return mean + sd * (shift - z), mean + sd * (shift + z)
+
     def support_window(self, tail_eps: float) -> tuple[int, int]:
         """Latent range (lo, hi) outside which each tail holds less than tail_eps.
 
-        ``lo`` is the smallest k with P(Y <= k) >= tail_eps (0 whenever
+        ``lo`` is the smallest k with cdf(k) >= tail_eps (0 whenever
         P(Y = 0) >= tail_eps) and ``hi`` the smallest k with
-        P(Y > k) < tail_eps, at most the largest support point.  Each search
-        starts at the Cornish-Fisher estimate ``mean + sd*(-+z + (z**2 - 1)*skew/6)``
-        of its quantile, with ``z = -ndtri(tail_eps)``.
+        sf(k) < tail_eps, at most the largest support point, where both
+        tails are settled.  Each search reads integer k on the scalar path of
+        ``cdf``/``sf`` and starts at the Cornish-Fisher estimate of its
+        quantile (``_cornish_fisher``), with ``z = -ndtri(tail_eps)``.
         """
         if not 0.0 < tail_eps < 1.0:
             raise ValueError("tail_eps must be in (0, 1)")
-        z, mean, sd = -float(special.ndtri(tail_eps)), self.mean(), math.sqrt(self.variance())
-        shift = (z * z - 1.0) * self.skewness() / 6.0 if sd > 0 else 0.0
-        # The search only visits 0 <= k <= top, and at the top both tails
-        # are settled (cdf 1, sf 0), so the raw tail functions suffice.
-        top, cdf_at, sf_at = self.upper_support(), self._cdf_at, self._sf_at
-        return (self._first_true(lambda k: k == top or cdf_at(float(k)) >= tail_eps,
-                                 mean + sd * (shift - z)),
-                self._first_true(lambda k: k == top or sf_at(float(k)) < tail_eps,
-                                 mean + sd * (shift + z)))
+        lo, hi = self._cornish_fisher(-float(special.ndtri(tail_eps)))
+        return (self._first_true(self.cdf, operator.ge, tail_eps, lo),
+                self._first_true(self.sf, operator.lt, tail_eps, hi))
 
-    def _first_true(self, pred: Callable[[int], bool], guess: float) -> int:
-        """Smallest k >= 0 with pred(k), for pred false up to some k and true after.
+    def _first_true(self, tail: Callable, test: Callable, eps: float, guess: float) -> int:
+        """Smallest k >= 0 with test(tail(k), eps), for a test false up to some
+        k and true after: ``cdf(k) >= eps`` or ``sf(k) < eps``.
 
         From ``guess`` (rounded down and clipped into the support) the
-        search gallops toward the answer in steps of 1, 2, 4, ... until pred
-        flips, then bisects inside the last step.
+        search gallops toward the answer in steps of 1, 2, 4, ... until the
+        test flips, then bisects inside the last step.  The test is an
+        ``operator`` function rather than a lambda: a Python call fewer per
+        tail read.
         """
         top = self.upper_support()
         # In this argument order a NaN guess starts at 0 and an infinite one at the cap.
         k = int(min(sys.float_info.max if top is None else top, max(0.0, guess)))
         step = 1
-        if pred(k):
+        if test(tail(k), eps):
             hi = k
             while hi > 0:
                 lo = max(hi - step, 0)
-                if not pred(lo):
+                if not test(tail(lo), eps):
                     break
                 hi, step = lo, 2 * step
             else:
@@ -164,12 +211,12 @@ class CountDistribution:
             lo = k
             while True:
                 hi = lo + step if top is None else min(lo + step, top)
-                if pred(hi):
+                if test(tail(hi), eps):
                     break
                 lo, step = hi, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if pred(mid):
+            if test(tail(mid), eps):
                 hi = mid
             else:
                 lo = mid

@@ -375,29 +375,11 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
     # mean come first and take the cdf, the rest the survival function.
     edges = np.concatenate(([lo[0] - 1], hi)).astype(float)
     split = int(np.searchsorted(hi, model.mean(), side="right"))
-    below = _edge_tails(model, edges[:split + 1], upper=False)
-    above = _edge_tails(model, edges[split:], upper=True)
+    below = model._edge_tails(edges[:split + 1], upper=False)
+    above = model._edge_tails(edges[split:], upper=True)
     probs = np.maximum(np.concatenate((below[1:] - below[:-1], above[:-1] - above[1:])), 0.0)
     return RoundedPmf(n=n, probs=probs, first=int(v_lo), mass_below=float(below[0]),
                       mass_above=float(max(above[-1], 0.0)))
-
-
-def _edge_tails(model: CountDistribution, edges: np.ndarray, upper: bool) -> np.ndarray:
-    """P(Y > k) if upper, else P(Y <= k), at a non-empty increasing float array
-    of the block edges k >= -1 of one table.
-
-    Only the first edge can be -1 and only the last one can reach the
-    largest support point, since the window lies inside the support.  Those
-    take their exact values and the raw tail function reads the rest;
-    ``model.cdf``/``sf`` would floor, clip and mask every edge.
-    """
-    top = model.upper_support()
-    below = int(edges[0] < 0)
-    past = int(top is not None and edges[-1] >= top)
-    inside = (model._sf_at if upper else model._cdf_at)(edges[below:len(edges) - past])
-    if not (below or past):
-        return inside
-    return np.concatenate(([1.0 if upper else 0.0] * below, inside, [0.0 if upper else 1.0] * past))
 
 
 #: The log-likelihood reads a block probability p off two latent tails only
@@ -409,16 +391,6 @@ TAIL_RATIO_LIMIT = 1e6
 #: below about 1e-246 the binomial tails (``scipy.special.betainc``) lose
 #: all accuracy and return 0 at some k.
 TAIL_ROUTE_MIN_PROB = 1e-200
-
-
-def _edge_tail(model: CountDistribution, k: int, upper: bool) -> float:
-    """``_edge_tails`` at one integer edge k >= -1, on a Python float."""
-    if k < 0:
-        return 1.0 if upper else 0.0
-    top = model.upper_support()
-    if top is not None and k >= top:
-        return 0.0 if upper else 1.0
-    return float((model._sf_at if upper else model._cdf_at)(float(k)))
 
 
 def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
@@ -435,13 +407,13 @@ def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
     """
     mean = model.mean()
     if hi <= mean:
-        larger = _edge_tail(model, hi, upper=False)
-        p = larger - _edge_tail(model, lo - 1, upper=False)
+        larger = model.cdf(hi)
+        p = larger - model.cdf(lo - 1)
     elif lo > mean:
-        larger = _edge_tail(model, lo - 1, upper=True)
-        p = larger - _edge_tail(model, hi, upper=True)
+        larger = model.sf(lo - 1)
+        p = larger - model.sf(hi)
     else:
-        below, above = _edge_tail(model, lo - 1, upper=False), _edge_tail(model, hi, upper=True)
+        below, above = model.cdf(lo - 1), model.sf(hi)
         larger, p = max(below, above), 1.0 - below - above
     if p >= TAIL_ROUTE_MIN_PROB and larger <= TAIL_RATIO_LIMIT * p:
         return math.log(p)
@@ -670,17 +642,15 @@ _ROUTE_COSTS = {
 def _table_is_cheaper(model: CountDistribution, n: int, tail_eps: float) -> bool:
     """Whether the table of U costs less than the series, by ``_ROUTE_COSTS``
     and the table length estimated from the mean, sd and skewness of Y: the
-    Cornish-Fisher window of ``support_window`` with z = sqrt(2 log(1/tail_eps)),
-    a little above the normal quantile.  No tail is read."""
+    Cornish-Fisher window (``model._cornish_fisher``) with
+    z = sqrt(2 log(1/tail_eps)), a little above the normal quantile that
+    ``support_window`` starts from.  No tail is read."""
     series_fixed, per_root, table_fixed, per_entry = _ROUTE_COSTS[model.kind]
     series = series_fixed + per_root * n
     if series <= table_fixed:
         return False
-    mean, sd = model.mean(), math.sqrt(model.variance())
-    z = math.sqrt(2.0 * math.log(1.0 / tail_eps))
-    shift = (z * z - 1.0) * model.skewness() / 6.0 if sd > 0 else 0.0
-    lo, hi = max(0.0, mean + sd * (shift - z)), mean + sd * (shift + z)
-    entries = (hi - lo) / n + 2.0
+    lo, hi = model._cornish_fisher(math.sqrt(2.0 * math.log(1.0 / tail_eps)))
+    entries = (hi - max(0.0, lo)) / n + 2.0
     return table_fixed + per_entry * entries < series
 
 
@@ -697,8 +667,9 @@ def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> 
     about 2*z*sd/n + 1 entries, z = 7 to 10.  The table leaves out at most
     ``TAIL_EPS``/n**2 each side, so the mass left out moves the variance by
     far less than ``SERIES_RTOL`` even where it sits n or more from the
-    mean.  A group count over ``MAX_TABLE_ENTRIES`` and half-even at even n
-    raise ValueError before anything is evaluated.
+    mean; the ``moments`` command's ``enumeration`` row takes the same cut
+    (``cli._cmd_moments``).  A group count over ``MAX_TABLE_ENTRIES`` and
+    half-even at even n raise ValueError before anything is evaluated.
     """
     _require_half_up(scheme, "the moment series")
     n = scheme.n

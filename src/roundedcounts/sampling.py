@@ -7,10 +7,12 @@ exact ways, each costing about one unit of work per table entry or per
 replicate.  With at least as many replicates as entries in the table of
 U (``rounded_pmf``), it draws the tally in one multinomial over the table
 with two extra bins, the mass below and above it, and resolves a count in
-an outer bin by inverting the latent tail there.  Otherwise it draws reps
-latent counts and rounds them (``sample_u``).  The tally depends only on
-the generator it is given, so a cell seeded from (seed, stream key) gives
-the same tally whatever other cells run and in what order.
+an outer bin by inverting the latent tail there: the end of the latent
+support window on that side (``support_window``), at a uniform draw below
+that bin's mass.  Otherwise it draws reps latent counts and rounds them
+(``sample_u``).  The tally depends only on the generator it is given, so a
+cell seeded from (seed, stream key) gives the same tally whatever other
+cells run and in what order.
 """
 
 from __future__ import annotations
@@ -78,15 +80,11 @@ def _tail_draw(model: CountDistribution, scheme: RoundingScheme, table: RoundedP
     """One total U drawn beyond the table, above it if upper, else below it.
 
     With w uniform on (0, mass], 0 excluded, where mass is the table's mass
-    on that side, the latent count is the smallest k with P(Y > k) < w
-    above the table, or with P(Y <= k) >= w below it.  The search starts at
-    the table's edge and gallops outward on the raw tails; w > 0 makes the
-    upper search stop, since the survival function never goes below 0.
+    on that side, the latent count is the end of ``model.support_window(w)``
+    on that side: the smallest k with P(Y > k) < w above the table, or with
+    P(Y <= k) >= w below it.  w > 0 makes the upper search stop, since the
+    survival function never goes below 0.
     """
     w = (table.mass_above if upper else table.mass_below) * (1.0 - rng.random())
-    top = model.upper_support()
-    if upper:
-        y = model._first_true(lambda k: k == top or model._sf_at(float(k)) < w, table.support[-1])
-    else:
-        y = model._first_true(lambda k: k == top or model._cdf_at(float(k)) >= w, table.support[0])
+    y = model.support_window(w)[upper]
     return scheme.n * round_count(y, scheme.n, scheme.tie_rule)

@@ -17,6 +17,7 @@ from roundedcounts import cli
 from roundedcounts.cli import build_parser, main, parse_float_list, parse_int_list
 from roundedcounts.rounding import MAX_TABLE_ENTRIES, SERIES_RTOL, TAIL_EPS
 from roundedcounts.tableio import format_cell, read_csv
+from test_rounding import lattice_moments_mpmath
 
 
 def run_cli(capsys, *argv):
@@ -126,12 +127,17 @@ def test_moments_header_records_the_series_bound(capsys):
     assert 0.0 < config["series_error_bound"] <= SERIES_RTOL
 
 
-@pytest.mark.parametrize("theta, n", [(0.1, 1000), (3.0, 365), (972.0, 5000)])
+# At theta = 2120, n = 5000 all of E(U) comes from P(Y >= 2500) = 5.4e-16, which
+# a table at 1e-14 each side leaves out, reading mean and variance 0.0.
+@pytest.mark.parametrize("theta, n", [(0.1, 1000), (3.0, 365), (972.0, 5000), (2120.0, 5000)])
 def test_moments_series_row_is_refused_alone(capsys, theta, n):
     code, out, err = run_cli(capsys, "moments", "--theta", str(theta), "--n", str(n))
     assert code == 0
     config, _, rows = read_csv(io.StringIO(out))
     assert [row[0] for row in rows] == ["enumeration"]
+    mean, variance = lattice_moments_mpmath(Poisson(theta), n)
+    assert rows[0][1] == pytest.approx(mean, rel=1e-9, abs=0.0)
+    assert rows[0][2] == pytest.approx(variance, rel=1e-9, abs=0.0)
     assert config["series_refused"] is True and config["series_error_bound"] > SERIES_RTOL
     assert "series row left out" in json.loads(err.strip())["warning"]
 

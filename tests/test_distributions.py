@@ -284,6 +284,7 @@ PINNED_MODELS = ALL_MODELS + [Poisson(1e18), Binomial(1, 0.0), Binomial(1, 1.0),
                               NegativeBinomial(0.3, 1.0), NegativeBinomial(2.5, 1e-6)]
 PINNED_POINTS = [0, 1, 3, 4, 21, -1, -7, 2.5, -0.5, 3.999, 1e12, -1e300, 1e300,
                  np.float64(7.0), np.int64(2), math.nan, math.inf, -math.inf,
+                 np.int64(-1), np.int64(3), np.int64(21), 10**30, -(10**30), True,
                  [0, 1, 2], np.arange(-3, 30), np.linspace(-2.5, 25.5, 57),
                  np.array([math.nan, math.inf, -math.inf, 0.0, 3.0, 1e20]),
                  np.array(5.0), np.zeros((2, 3)), np.array([], dtype=float)]
@@ -376,9 +377,8 @@ def bracketed_first(model, pred) -> int:
 
 
 def bracketed_window(model, eps) -> tuple[int, int]:
-    top = model.upper_support()
-    return (bracketed_first(model, lambda k: k == top or model._cdf_at(float(k)) >= eps),
-            bracketed_first(model, lambda k: k == top or model._sf_at(float(k)) < eps))
+    return (bracketed_first(model, lambda k: model.cdf(k) >= eps),
+            bracketed_first(model, lambda k: model.sf(k) < eps))
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -411,9 +411,9 @@ def test_support_window_with_infinite_variance():
 def test_support_window_makes_few_tail_calls(monkeypatch):
     model = Binomial(15500, 0.3)
     calls = []
-    for name in ("_cdf_at", "_sf_at"):
-        raw = getattr(model, name)
-        monkeypatch.setattr(model, name, lambda k, raw=raw: calls.append(k) or raw(k))
+    for name in ("cdf", "sf"):
+        tail = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda k, tail=tail: calls.append(k) or tail(k))
     assert model.support_window(1e-12) == bracketed_window(Binomial(15500, 0.3), 1e-12)
     assert len(calls) <= 8
 
@@ -487,11 +487,11 @@ def test_poisson_sf_scalar_and_array_agree_bitwise(theta):
     model = Poisson(theta)
     with np.errstate(invalid="ignore"):
         scalars = np.array([model.sf(float(k)) for k in ks])
-        raw = np.array([model._sf_at(float(k)) for k in ks])
+        integers = np.array([model.sf(int(k)) for k in ks[:-2]])
         assert scalars.tobytes() == model.sf(ks).tobytes()
-        assert raw.tobytes() == model._sf_at(ks).tobytes()
+        assert integers.tobytes() == scalars[:-2].tobytes()
         if theta < 5e4:
-            assert raw.tobytes() == special.pdtrc(ks, theta).tobytes()
+            assert scalars.tobytes() == special.pdtrc(ks, theta).tobytes()
 
 
 @pytest.mark.parametrize("far", [1, _TEMME_SCALAR_MAX - 1, _TEMME_SCALAR_MAX,
