@@ -5,9 +5,11 @@ integer-rounded average [Y/n], the recoverable total U = n*[Y/n] lives on
 the lattice {0, n, 2n, ...} and aggregates roughly n consecutive
 probabilities of Y per lattice point.  This module provides:
 
-* exact tabulation of P(U = u) from the latent tails, over the lattice
-  points between two tail quantiles of Y (both tie rules), and the binned
-  log-likelihood log P(U = u) of one block, read off the same tails,
+* exact tabulation of P(U = u) over the lattice points between two tail
+  quantiles of Y (both tie rules), each block read off two latent tails or
+  summed from the latent pmf, whichever costs less for the family, n and
+  the table length, and the binned log-likelihood log P(U = u) of one
+  block, read off the same tails,
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only), refused at any point where
   its forward error bound exceeds ``SERIES_RTOL``,
@@ -263,7 +265,9 @@ class RoundedPmf:
     ``probs[i]`` is P(U = (first + i)*n).  ``mass_below`` and ``mass_above``
     are the probabilities of the lattice points below and above the table,
     and ``truncation_mass`` is their sum, so the tabulated total plus the
-    truncation mass is 1 up to roundoff.
+    truncation mass is 1 up to roundoff.  ``route`` records how the blocks
+    were computed (see ``rounded_pmf``): "tails", as differences of two
+    latent tails, or "pmf", as sums of the latent pmf.
     """
 
     n: int
@@ -271,6 +275,7 @@ class RoundedPmf:
     first: int
     mass_below: float
     mass_above: float
+    route: str = "tails"
 
     @property
     def truncation_mass(self) -> float:
@@ -331,13 +336,13 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
 
     The table runs from the lattice point of the lower quantile to that of
     the upper one (``model.support_window``), so each side leaves out less
-    than tail_eps.  Block probabilities are differences of the tail
-    function at consecutive block edges, the cdf up to the mean and the
-    survival function beyond it, so both tails keep full absolute
-    precision; each edge is evaluated once.  For n = 1 this is the latent
-    pmf over the window.  A table over ``MAX_TABLE_ENTRIES`` entries, a
-    window whose block edges would overflow int64, or a tail_eps above 0.5
-    whose quantiles cross raises ValueError.
+    than tail_eps.  Each block probability is computed by the cheaper of two
+    routes (``_table_over``), which ``RoundedPmf.route`` records: a
+    difference of the latent tails at its edges, or the sum of the latent
+    pmf over the block.  For n = 1 this is the latent pmf over the window.
+    A table over ``MAX_TABLE_ENTRIES`` entries, a window whose block edges
+    would overflow int64, or a tail_eps above 0.5 whose quantiles cross
+    raises ValueError.
     """
     return _table_over(model, scheme, _latent_window(model, tail_eps))
 
@@ -358,7 +363,20 @@ def _latent_window(model: CountDistribution, tail_eps: float) -> tuple[int, int]
 
 def _table_over(model: CountDistribution, scheme: RoundingScheme,
                 window: tuple[int, int]) -> RoundedPmf:
-    """The table of ``rounded_pmf`` over the latent window (y_lo, y_hi)."""
+    """The table of ``rounded_pmf`` over the latent window (y_lo, y_hi).
+
+    Where it is the cheaper route for the family, n and the table length
+    (``_pmf_is_cheaper``: short blocks in long tables), each block is the
+    sum of the latent pmf over it (``_pmf_blocks``), within about
+    3*PMF_ANCHOR_EVERY*eps relative, and the masses beyond the table are
+    cdf(lo - 1) and sf(hi) at its ends.  Otherwise each block is a
+    difference of the tail function at its edges, the cdf up to the mean
+    and the survival function beyond it, so both tails keep full absolute
+    precision; each edge is read once.  That route carries the tails'
+    relative error, times the tail over the block: ``Binomial(29_973_776,
+    0.5682)`` at n = 31 is 5e-11 off a 40-digit sum on it, 3e-14 on the
+    pmf route.
+    """
     n = scheme.n
     y_lo, y_hi = window
     # The window ends are Python ints, so a window beyond int64 rounds exactly.
@@ -371,6 +389,10 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
         raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
                          f"for blocks of n={n}")
     lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
+    if _pmf_is_cheaper(model, n, len(lo)):
+        return RoundedPmf(n=n, probs=_pmf_blocks(model, n, lo, hi), first=int(v_lo),
+                          mass_below=float(model.cdf(int(lo[0]) - 1)),
+                          mass_above=float(model.sf(int(hi[-1]))), route="pmf")
     # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
     # mean come first and take the cdf, the rest the survival function.
     edges = np.concatenate(([lo[0] - 1], hi)).astype(float)
@@ -380,6 +402,61 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
     probs = np.maximum(np.concatenate((below[1:] - below[:-1], above[:-1] - above[1:])), 0.0)
     return RoundedPmf(n=n, probs=probs, first=int(v_lo), mass_below=float(below[0]),
                       mass_above=float(max(above[-1], 0.0)))
+
+
+#: Measured costs of the two routes of a table of U in us, on one core of a
+#: 2-CPU x86-64 machine: per block edge read off the tails, at a latent
+#: window of 100 points and more per tenfold wider window, then the pmf
+#: sums' extra fixed cost, per block and per latent point.  An edge costs
+#: 0.2-0.45 us for the Poisson at any mean from 1e2 to 1e7 (Temme's
+#: expansion is the cheap far tail above 5e4) and 0.75-1.05 us for the
+#: negative binomial at means 1e1 to 5e5; for the binomial it grows from
+#: 0.28 us at 200 trials (a window of 90 points) to 0.65 us at 15,500 and
+#: 1.45 us at 2e7 (29,000 points).  A latent point costs 10-20 ns and a
+#: block about 30 ns more (its reduction).  A warm process pays about 25 us
+#: more for the route than for the tails, but the first pmf-route table in
+#: a fresh interpreter about 120 us more than later ones (the first calls
+#: of its numpy and Python code), so the fixed cost is taken as 80 us: a
+#: table must save that much before it leaves the tails, and a one-off
+#: command on a short table stays on them.  In long tables the pmf sums
+#: are then the cheaper route up to about n = 18 for the Poisson and 55
+#: for the negative binomial, and for the binomial up to n = 60-95 at 1e5
+#: to 1e7 trials.
+_TABLE_COSTS = {
+    "poisson": (0.25, 0.0, 80.0, 0.03, 0.012),
+    "binomial": (0.3, 0.45, 80.0, 0.03, 0.015),
+    "negbinomial": (0.85, 0.0, 80.0, 0.03, 0.015),
+}
+
+#: Latent points the pmf route holds at once, in chunks of whole blocks.
+_PMF_CHUNK = 2**16
+
+
+def _pmf_is_cheaper(model: CountDistribution, n: int, entries: int) -> bool:
+    """Whether a table of ``entries`` blocks of about n latent points each
+    costs less summed from the latent pmf than read off the latent tails,
+    by ``_TABLE_COSTS``; a tie takes the tails."""
+    per_edge, per_decade, pmf_fixed, per_block, per_point = _TABLE_COSTS[model.kind]
+    if per_decade:
+        per_edge += per_decade * math.log10(n * entries / 100.0)
+    return pmf_fixed + (per_block + per_point * n) * entries < per_edge * entries
+
+
+def _pmf_blocks(model: CountDistribution, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """P(lo[i] <= Y <= hi[i]) for the consecutive blocks of a table, each the
+    sum of the latent pmf over the block (``CountDistribution._pmf_run``),
+    in chunks of whole blocks of about ``_PMF_CHUNK`` latent points; the
+    points past the binomial trials are left out."""
+    top = model.upper_support()
+    last = int(hi[-1]) if top is None else min(int(hi[-1]), top)
+    per_chunk = max(1, _PMF_CHUNK // n)
+    probs = np.empty(len(lo))
+    for i in range(0, len(lo), per_chunk):
+        j = min(i + per_chunk, len(lo))
+        start = int(lo[i])
+        probs[i:j] = np.add.reduceat(model._pmf_run(start, min(int(hi[j - 1]), last)),
+                                     lo[i:j] - start)
+    return probs
 
 
 #: The log-likelihood reads a block probability p off two latent tails only

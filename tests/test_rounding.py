@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,7 @@ from roundedcounts import (
     sample_u,
     support_block,
 )
+from roundedcounts import rounding
 from roundedcounts.rounding import (
     MAX_TABLE_ENTRIES,
     POLE_GUARD_RADIUS,
@@ -43,7 +45,9 @@ from roundedcounts.rounding import (
     _logsumexp,
     _mle_mean_branch,
     _moments_series,
+    _pmf_is_cheaper,
     _table_is_cheaper,
+    _table_over,
 )
 
 
@@ -391,8 +395,15 @@ class TestRoundedLogpmf:
         assert abs(got - ref) <= max(self.FLOOR[model.kind], abs(by_log_pmf - ref))
 
     # The log-gamma pmf was off by 4.7e-7, 1.5e-8, 1.4e-10, 1.5e-6, 4.4e-8
-    # and 3.8e-9 at these blocks.
+    # and 3.8e-9 at these blocks, and by 8e-5, 1.1e-2, 1.8e-1 and 1.0e-2 at
+    # the four after them, which the log-sum-exp of the log-pmf serves (the
+    # block is under 1e-6 of the larger tail); there 1.4e-11 is within 1e-12
+    # of the log-likelihood, about -15.
     @pytest.mark.parametrize("model, n, u, bound", [
+        (Poisson(1e12), 1, 10**12, 1.4e-11),
+        (Poisson(1e13), 1, 10**13, 1.4e-11),
+        (Poisson(1e14), 10, 10**14, 1.4e-11),
+        (Binomial(10**13, 0.5), 1, 5 * 10**12, 1.4e-11),
         (Poisson(1e9), 1, 10**9, 2e-11),
         (Poisson(1e7), 3, 9_999_999, 3e-13),
         (Poisson(1e5), 7, 100_051, 1e-14),
@@ -425,6 +436,91 @@ class TestRoundedLogpmf:
         assert got == _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
         ref = mp_block_logprob(model, block.start, block.stop - 1)
         assert got == ref == -math.inf or abs(got - ref) < 1e-11
+
+
+def assert_entries_match_40_digits(model, scheme, table):
+    """The table's two ends, quartiles and mode within 1e-12 relative of a
+    40-digit block sum, and its total plus truncation mass within 1e-12 of 1."""
+    size = len(table.probs)
+    for i in {0, size // 4, size // 2, 3 * size // 4, size - 1, int(np.argmax(table.probs))}:
+        block = support_block((table.first + i) * scheme.n, scheme)
+        ref = mp_block_logprob(model, block.start, block.stop - 1)
+        assert abs(math.log(table.probs[i]) - ref) < 1e-12, (i, table.probs[i])
+    assert abs(math.fsum(table.probs) + table.truncation_mass - 1.0) < 1e-12
+
+
+@st.composite
+def pmf_route_schemes(draw):
+    """A model and a scheme whose table takes the pmf route: a Poisson mean
+    from 1e3 to 1e9, a binomial of 1e5 to 1e9 trials with p in [0.01, 0.99]
+    or a negative binomial with mean 1e2 to 1e7 and sd at most 3e4 (size at
+    least 0.5); n from 1 to 60, lowered to the largest n at which the pmf
+    sums are the cheaper route.  Every latent window is under 1e6 points."""
+    family = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
+    if family == "poisson":
+        model = Poisson(10.0 ** draw(st.floats(3.0, 9.0)))
+    elif family == "binomial":
+        model = Binomial(int(10.0 ** draw(st.floats(5.0, 9.0))), draw(st.floats(0.01, 0.99)))
+    else:
+        mean = 10.0 ** draw(st.floats(2.0, 7.0))
+        least = max(0.5, mean * mean / 9e8)  # sd**2 = mean*(1 + mean/size)
+        size = least * 10.0 ** draw(st.floats(0.0, 3.0))
+        model = NegativeBinomial(size, size / (size + mean))
+    tie = draw(st.sampled_from([HALF_UP, HALF_EVEN]))
+    y_lo, y_hi = model.support_window(TAIL_EPS)
+    for n in range(draw(st.integers(1, 60)), 0, -1):
+        entries = round_count(y_hi, n, tie) - round_count(y_lo, n, tie) + 1
+        if _pmf_is_cheaper(model, n, entries):
+            break
+    return model, RoundingScheme(n, tie)
+
+
+class TestPmfRoute:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(pmf_route_schemes())
+    def test_entries_match_a_40_digit_sum(self, case):
+        model, scheme = case
+        table = rounded_pmf(model, scheme)
+        assert table.route == "pmf"
+        assert_entries_match_40_digits(model, scheme, table)
+
+    # The tails' differences were 5.4e-12, 4.6e-11 and 1.6e-11 off at the
+    # entries checked.
+    @pytest.mark.parametrize("model, scheme", [
+        (Poisson(9_855_443.42), RoundingScheme(3, HALF_EVEN)),
+        (Binomial(29_973_776, 0.5682118210604725), RoundingScheme(31)),
+        (NegativeBinomial(50.0, 1e-4), RoundingScheme(10)),
+    ], ids=repr)
+    def test_large_tables_match_a_40_digit_sum(self, model, scheme):
+        table = rounded_pmf(model, scheme)
+        assert table.route == "pmf"
+        assert_entries_match_40_digits(model, scheme, table)
+
+    def test_long_blocks_keep_the_tails_bit_for_bit(self):
+        # 45 entries of 1e8 latent points each, about 4.4e9 points.
+        table = rounded_pmf(Poisson(1e17), RoundingScheme(10**8))
+        assert table.route == "tails"
+        assert (len(table.probs), table.first) == (45, 999_999_978)
+        assert hashlib.sha256(table.probs.tobytes()).hexdigest() == (
+            "f52a3d88786150d1d2cdbd0cabc0e277bc9abd5428ab140bbc690befac10c6f9")
+        assert (table.mass_below, table.mass_above) == (5.590582280638015e-13,
+                                                          5.590584518055461e-13)
+
+    def test_pmf_route_peaks_below_the_tails(self, monkeypatch):
+        model, scheme = Poisson(1e10), RoundingScheme(3)
+        window = model.support_window(TAIL_EPS)
+        assert window[1] - window[0] > 10**6
+        peaks = {}
+        for route in ("pmf", "tails"):
+            tracemalloc.start()
+            try:
+                table = _table_over(model, scheme, window)
+                peaks[route] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.route == route
+            monkeypatch.setattr(rounding, "_pmf_is_cheaper", lambda *args: False)
+        assert peaks["pmf"] < peaks["tails"]
 
 
 def latent_pmf_by_recurrence(model, top):

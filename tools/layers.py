@@ -4,7 +4,8 @@ Loads ``src/roundedcounts`` of each checkout under its own package name
 (``layers_parent`` and ``layers_change``), so both sides run in the same
 process, on the same numpy and scipy, a few microseconds apart.  For each
 call in a fixed list of layer calls it first checks that both sides
-return the same result (by ``repr``), then times it in rounds.  In each
+return the same result (``same``: arrays bit for bit, dataclasses field by
+field), then times it in rounds.  In each
 round each side times the call three times, each over a fixed number of
 calls chosen so that the three take about ``ROUND_MS`` milliseconds, and
 keeps the least.  The side that runs first alternates from round to round, so a
@@ -24,6 +25,7 @@ only, plus the package itself.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -59,6 +61,10 @@ def cases(rc) -> list[tuple[str, object]]:
     poisson, small = rc.Poisson(1e5), rc.Poisson(20.0)
     binomial, negbin = rc.Binomial(15500, 0.3), rc.NegativeBinomial(5.0, 0.4)
     half_up, half_even = rc.RoundingScheme(5), rc.RoundingScheme(10, rc.HALF_EVEN)
+    # Large-spread tables on both sides of the choice between their two routes.
+    wide, wide_n31 = rc.Poisson(9_855_443.42), rc.Poisson(2_835_502.7)
+    wide_binomial = rc.Binomial(29_973_776, 0.568)
+    three, thirty_one = rc.RoundingScheme(3, rc.HALF_EVEN), rc.RoundingScheme(31)
     grid = (0.2, 0.35, 0.5, 0.65, 0.8)
     return [
         ("cdf Poisson(20) at 18", lambda: small.cdf(18)),
@@ -74,12 +80,31 @@ def cases(rc) -> list[tuple[str, object]]:
          lambda: rc.numeric_mle(20, half_even, "binomial", trials=50)),
         ("rounded_pmf Poisson(20) n=5", lambda: rc.rounded_pmf(small, half_up)),
         ("rounded_pmf Binomial(15500, 0.3) n=10", lambda: rc.rounded_pmf(binomial, half_even)),
+        ("rounded_pmf Poisson(9_855_443.42) n=3", lambda: rc.rounded_pmf(wide, three)),
+        ("rounded_pmf Binomial(29_973_776, 0.568) n=31",
+         lambda: rc.rounded_pmf(wide_binomial, thirty_one)),
+        ("rounded_pmf Poisson(2_835_502.7) n=31", lambda: rc.rounded_pmf(wide_n31, thirty_one)),
         *[(f"true_significance {mode} m=20 n=5 x5",
            lambda mode=mode: rc.true_significance(20, 5, grid, 0.05, mode))
           for mode in ("misspecified-u", "exact-y", "binned-u")],
         ("binned_binomial_test u=50 m=20 n=5",
          lambda: rc.binned_binomial_test(50, 20, 5, 0.5, 0.05)),
     ]
+
+
+def same(a, b) -> bool:
+    """Whether two results are equal: arrays (anything with ``tobytes``) bit
+    for bit and by shape, dataclasses field by field over the fields both
+    sides have (a field the change adds is not compared), tuples and lists
+    item by item, and anything else by ``repr``."""
+    if dataclasses.is_dataclass(a) and dataclasses.is_dataclass(b):
+        names = {f.name for f in dataclasses.fields(a)} & {f.name for f in dataclasses.fields(b)}
+        return all(same(getattr(a, name), getattr(b, name)) for name in names)
+    if hasattr(a, "tobytes") and hasattr(b, "tobytes"):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return repr(a) == repr(b)
 
 
 def per_call(call, number: int, repeat: int = 1) -> float:
@@ -93,7 +118,7 @@ def compare(parent: list, change: list, rounds: int) -> None:
     """Print one line per call: each side's minimum and median per call, the
     relative change of the medians and the rounds the change won."""
     for (label, p_call), (_, c_call) in zip(parent, change):
-        same = repr(p_call()) == repr(c_call())
+        equal = same(p_call(), c_call())
         number = max(1, int(ROUND_MS / 3e3 / min(per_call(p_call, 20), per_call(c_call, 20))))
         times = {"parent": [], "change": []}
         for i in range(rounds):
@@ -105,7 +130,7 @@ def compare(parent: list, change: list, rounds: int) -> None:
         print(f"{label:44s} parent {min(times['parent']) * 1e6:9.2f} {p_med * 1e6:9.2f} us"
               f"  change {min(times['change']) * 1e6:9.2f} {c_med * 1e6:9.2f} us"
               f"  {(c_med - p_med) / p_med:+7.1%}  faster in {won:3d} of {rounds}"
-              + ("" if same else "  RESULTS DIFFER"), flush=True)
+              + ("" if equal else "  RESULTS DIFFER"), flush=True)
 
 
 def main(argv=None) -> int:
