@@ -7,9 +7,9 @@ probabilities of Y per lattice point.  This module provides:
 
 * exact tabulation of P(U = u) over the lattice points between two tail
   quantiles of Y (both tie rules), each block read off two latent tails or
-  summed from the latent pmf, whichever costs less for the family, n and
-  the table length, and the binned log-likelihood log P(U = u) of one
-  block, read off the same tails,
+  summed from the latent pmf, whichever costs less for the family, n, the
+  table length and the slow reads of its far tail, and the binned
+  log-likelihood log P(U = u) of one block, read off the same tails,
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only), refused at any point where
   its forward error bound exceeds ``SERIES_RTOL``,
@@ -365,8 +365,9 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
                 window: tuple[int, int]) -> RoundedPmf:
     """The table of ``rounded_pmf`` over the latent window (y_lo, y_hi).
 
-    Where it is the cheaper route for the family, n and the table length
-    (``_pmf_is_cheaper``: short blocks in long tables), each block is the
+    Where it is the cheaper route for the family, n, the table length and
+    its slow tail reads (``_pmf_is_cheaper``: short blocks in long tables,
+    or many edges far above a Poisson mean), each block is the
     sum of the latent pmf over it (``_pmf_blocks``), within about
     3*PMF_ANCHOR_EVERY*eps relative, and the masses beyond the table are
     cdf(lo - 1) and sf(hi) at its ends.  Otherwise each block is a
@@ -389,10 +390,11 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
         raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
                          f"for blocks of n={n}")
     lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
-    if _pmf_is_cheaper(model, n, len(lo)):
+    top = int(hi[-1])
+    if _pmf_is_cheaper(model, n, len(lo), top):
         return RoundedPmf(n=n, probs=_pmf_blocks(model, n, lo, hi), first=int(v_lo),
                           mass_below=float(model.cdf(int(lo[0]) - 1)),
-                          mass_above=float(model.sf(int(hi[-1]))), route="pmf")
+                          mass_above=float(model.sf(top)), route="pmf")
     # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
     # mean come first and take the cdf, the rest the survival function.
     edges = np.concatenate(([lo[0] - 1], hi)).astype(float)
@@ -407,39 +409,67 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
 #: Measured costs of the two routes of a table of U in us, on one core of a
 #: 2-CPU x86-64 machine: per block edge read off the tails, at a latent
 #: window of 100 points and more per tenfold wider window, then the pmf
-#: sums' extra fixed cost, per block and per latent point.  An edge costs
-#: 0.2-0.45 us for the Poisson at any mean from 1e2 to 1e7 (Temme's
-#: expansion is the cheap far tail above 5e4) and 0.75-1.05 us for the
-#: negative binomial at means 1e1 to 5e5; for the binomial it grows from
-#: 0.28 us at 200 trials (a window of 90 points) to 0.65 us at 15,500 and
-#: 1.45 us at 2e7 (29,000 points).  A latent point costs 10-20 ns and a
-#: block about 30 ns more (its reduction).  A warm process pays about 25 us
-#: more for the route than for the tails, but the first pmf-route table in
-#: a fresh interpreter about 120 us more than later ones (the first calls
-#: of its numpy and Python code), so the fixed cost is taken as 80 us: a
-#: table must save that much before it leaves the tails, and a one-off
-#: command on a short table stays on them.  In long tables the pmf sums
-#: are then the cheaper route up to about n = 18 for the Poisson and 55
-#: for the negative binomial, and for the binomial up to n = 60-95 at 1e5
-#: to 1e7 trials.
+#: sums' extra fixed cost, per block and per latent point.  A Poisson edge
+#: below the mean or less than 4.5 sd above it costs 0.15-0.33 us at means
+#: from 1e3 to 1e7; a far edge beyond that costs more
+#: (``_SLOW_READ_COST``).  The negative binomial costs 0.75-1.05 us an edge
+#: at means 1e1 to 5e5; for the binomial it grows from 0.28 us at 200
+#: trials (a window of 90 points) to 0.65 us at 15,500 and 1.45 us at 2e7
+#: (29,000 points).  A latent point costs 10-15 ns in chunks of
+#: ``_PMF_CHUNK`` and a block 20-30 ns more (its reduction).  A warm process
+#: pays about 25 us more for the route than for the tails, but the first
+#: pmf-route table in a fresh interpreter about 120 us more than later ones
+#: (the first calls of its numpy and Python code), so the fixed cost is
+#: taken as 80 us: a table must save that much before it leaves the tails,
+#: and a one-off command on a short table stays on them.  In long tables the
+#: pmf sums are then the cheaper route up to about n = 18 for the Poisson
+#: at means from 5e4 (higher below, where a fifth of the edges are slow
+#: reads) and 55 for the negative binomial, and for the binomial up to
+#: n = 60-95 at 1e5 to 1e7 trials.
 _TABLE_COSTS = {
     "poisson": (0.25, 0.0, 80.0, 0.03, 0.012),
     "binomial": (0.3, 0.45, 80.0, 0.03, 0.015),
     "negbinomial": (0.85, 0.0, 80.0, 0.03, 0.015),
 }
 
-#: Latent points the pmf route holds at once, in chunks of whole blocks.
-_PMF_CHUNK = 2**16
+#: Measured cost in us of one upper-tail read that the latent family
+#: evaluates point by point (``CountDistribution._slow_edge_reads``), on the
+#: machine of ``_TABLE_COSTS``.  A fifth of a Poisson table's edges lie 4.5
+#: sd or more above the mean, at any mean; each costs 0.7 us at a mean of
+#: 1e4, rising to 1.4 us just below 5e4, in pdtrc's series, and about 1.9 us
+#: from 5e4 in Temme's expansion, whose array form costs as much as 22
+#: points.  One price per edge cannot follow that: over the 240 Poisson
+#: tables of the ``tables-wide`` benchmark at seeds 1-4, the best one (0.5
+#: us) routes an n = 7 table at a mean of 1e4 more than 10 % above the
+#: cheaper route, and any dearer one the n = 31 tables at 2.8e6; over means
+#: 1e3 to 1e7 and n = 2 to 31 it misroutes 32 of 200 tables.  With the far
+#: reads priced apart none of the 240 is misrouted; of the 200, 17 stay on
+#: the tails where the pmf sums cost less, most of them short tables that
+#: the 80 us fixed cost keeps there, and 6 at n = 10-15 take the pmf sums at
+#: up to 26 % more.
+_SLOW_READ_COST = 1.5
+
+#: Latent points the pmf route holds at once, in chunks of whole blocks, so
+#: that each temporary array stays at 128 KiB.  At 2**16 (512 KiB each) the
+#: allocator hands the freed temporaries back to the system and every call
+#: faults their pages in again: ``Poisson(9_855_443.42)`` at n = 3 (44,172
+#: points) sums in 800 us with 271 page faults a call, against 550 us and
+#: none at 2**14, and ``Poisson(5.253e6)`` at n = 7 in 470 against 330 us.
+#: 2**15 lies at that threshold: a little faster on some tables, 45 %
+#: slower on that n = 7 one.
+_PMF_CHUNK = 2**14
 
 
-def _pmf_is_cheaper(model: CountDistribution, n: int, entries: int) -> bool:
-    """Whether a table of ``entries`` blocks of about n latent points each
-    costs less summed from the latent pmf than read off the latent tails,
-    by ``_TABLE_COSTS``; a tie takes the tails."""
+def _pmf_is_cheaper(model: CountDistribution, n: int, entries: int, top: int) -> bool:
+    """Whether a table of ``entries`` blocks of about n latent points each,
+    its last block edge at ``top``, costs less summed from the latent pmf
+    than read off the latent tails, by ``_TABLE_COSTS`` and the slow tail
+    reads the family counts from its parameters; a tie takes the tails."""
     per_edge, per_decade, pmf_fixed, per_block, per_point = _TABLE_COSTS[model.kind]
     if per_decade:
         per_edge += per_decade * math.log10(n * entries / 100.0)
-    return pmf_fixed + (per_block + per_point * n) * entries < per_edge * entries
+    tails = per_edge * entries + _SLOW_READ_COST * model._slow_edge_reads(top, n)
+    return pmf_fixed + (per_block + per_point * n) * entries < tails
 
 
 def _pmf_blocks(model: CountDistribution, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

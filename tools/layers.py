@@ -64,7 +64,11 @@ def cases(rc) -> list[tuple[str, object]]:
     # Large-spread tables on both sides of the choice between their two routes.
     wide, wide_n31 = rc.Poisson(9_855_443.42), rc.Poisson(2_835_502.7)
     wide_binomial = rc.Binomial(29_973_776, 0.568)
-    three, thirty_one = rc.RoundingScheme(3, rc.HALF_EVEN), rc.RoundingScheme(31)
+    # An n = 7 table whose far upper edges make the pmf sums the cheaper
+    # route, and a pmf-route table of 32,249 latent points, two chunks.
+    far_n7, long_n7 = rc.Poisson(46_290), rc.Poisson(5_252_673.09)
+    three, seven = rc.RoundingScheme(3, rc.HALF_EVEN), rc.RoundingScheme(7)
+    thirty_one = rc.RoundingScheme(31)
     grid = (0.2, 0.35, 0.5, 0.65, 0.8)
     return [
         ("cdf Poisson(20) at 18", lambda: small.cdf(18)),
@@ -84,6 +88,8 @@ def cases(rc) -> list[tuple[str, object]]:
         ("rounded_pmf Binomial(29_973_776, 0.568) n=31",
          lambda: rc.rounded_pmf(wide_binomial, thirty_one)),
         ("rounded_pmf Poisson(2_835_502.7) n=31", lambda: rc.rounded_pmf(wide_n31, thirty_one)),
+        ("rounded_pmf Poisson(46_290) n=7", lambda: rc.rounded_pmf(far_n7, seven)),
+        ("rounded_pmf Poisson(5_252_673.09) n=7", lambda: rc.rounded_pmf(long_n7, seven)),
         *[(f"true_significance {mode} m=20 n=5 x5",
            lambda mode=mode: rc.true_significance(20, 5, grid, 0.05, mode))
           for mode in ("misspecified-u", "exact-y", "binned-u")],

@@ -12,7 +12,9 @@ exactly those two tests, the tests reported as xfailed are exactly the
 strict xfails that record the binomial tail defects (ROADMAP open item 3:
 the lower tail near the middle and far below it), and nothing errors,
 collection included.  So a lost xfail (deleted, renamed or skipped) cannot
-hide either defect.
+hide either defect.  A run that pytest stops with ``INTERNALERROR`` (a
+crash in pytest or a plugin, which leaves the report incomplete) exits 1
+and prints those lines, not the standing failures it did not report.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def main() -> int:
     errors = [line for line in lines if line.startswith("ERROR ")]
     summary = next((m.group(1) for line in reversed(lines) if (m := _SUMMARY.match(line))), None)
     print(summary or "no pytest summary line found")
+    internal = [line for line in lines + proc.stderr.splitlines()
+                if line.startswith("INTERNALERROR")]
+    if internal:
+        print(f"pytest stopped with INTERNALERROR (exit {proc.returncode}), so its report of "
+              f"failures and xfails is incomplete; its last INTERNALERROR lines:", file=sys.stderr)
+        print("\n".join(internal[-20:]), file=sys.stderr)
+        return 1
     problems = [f"unexpected failure: {name}" for name in sorted(failed - EXPECTED_FAILURES)]
     problems += [f"expected failure did not fail: {name}"
                  for name in sorted(EXPECTED_FAILURES - failed)]
