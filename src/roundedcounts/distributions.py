@@ -204,12 +204,6 @@ class CountDistribution:
         return np.concatenate(([1.0 if upper else 0.0] * below, inside,
                                [0.0 if upper else 1.0] * past))
 
-    def _slow_edge_reads(self, top: int, step: int) -> float:
-        """About how many upper-tail reads of ``_edge_tails`` at block edges
-        ``step`` apart up to ``top`` cost a point-by-point evaluation each,
-        from the parameters alone: none here."""
-        return 0.0
-
     def pgf(self, s):
         """E(s**Y) as a complex number (closed form)."""
         raise NotImplementedError
@@ -487,15 +481,6 @@ class Poisson(CountDistribution):
             out[far] = [_temme_p(x, theta) for x in a_far.tolist()]
         out[~far] = special.pdtrc(k[~far], theta)
         return out
-
-    def _slow_edge_reads(self, top, step):
-        # The far points of ``_sf_at``, a = k + 1 at or above the root of
-        # a - theta = 4.5*sqrt(a): each is pdtrc's series below a mean of
-        # 5e4, and Temme's expansion from there, one point at a time up to
-        # _TEMME_SCALAR_MAX points and beyond them an array that costs as much.
-        root = 0.5 * (_TEMME_MIN_Z + math.sqrt(_TEMME_MIN_Z**2 + 4.0 * self.theta))
-        far = max(0.0, (top + 1.0 - root * root) / step)
-        return far if self.theta < _TEMME_MIN_MEAN else min(far, _TEMME_SCALAR_MAX)
 
     def pgf(self, s):
         s = np.asarray(s, dtype=complex)

@@ -6,10 +6,9 @@ the lattice {0, n, 2n, ...} and aggregates roughly n consecutive
 probabilities of Y per lattice point.  This module provides:
 
 * exact tabulation of P(U = u) over the lattice points between two tail
-  quantiles of Y (both tie rules), each block read off two latent tails or
-  summed from the latent pmf, whichever costs less for the family, n, the
-  table length and the slow reads of its far tail, and the binned
-  log-likelihood log P(U = u) of one block, read off the same tails,
+  quantiles of Y (both tie rules), each block read off two latent tails or,
+  for short blocks in long tables, summed from the latent pmf, and the
+  binned log-likelihood log P(U = u) of one block, read off the same tails,
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only), refused at any point where
   its forward error bound exceeds ``SERIES_RTOL``,
@@ -336,10 +335,11 @@ def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
 
     The table runs from the lattice point of the lower quantile to that of
     the upper one (``model.support_window``), so each side leaves out less
-    than tail_eps.  Each block probability is computed by the cheaper of two
-    routes (``_table_over``), which ``RoundedPmf.route`` records: a
-    difference of the latent tails at its edges, or the sum of the latent
-    pmf over the block.  For n = 1 this is the latent pmf over the window.
+    than tail_eps.  Each block probability is computed by one of two routes
+    (``_table_over``), which ``RoundedPmf.route`` records: a difference of
+    the latent tails at its edges, or, where n is short for the family and
+    the table long, the sum of the latent pmf over the block.  For n = 1
+    this is the latent pmf over the window.
     A table over ``MAX_TABLE_ENTRIES`` entries, a window whose block edges
     would overflow int64, or a tail_eps above 0.5 whose quantiles cross
     raises ValueError.
@@ -365,13 +365,13 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
                 window: tuple[int, int]) -> RoundedPmf:
     """The table of ``rounded_pmf`` over the latent window (y_lo, y_hi).
 
-    Where it is the cheaper route for the family, n, the table length and
-    its slow tail reads (``_pmf_is_cheaper``: short blocks in long tables,
-    or many edges far above a Poisson mean), each block is the
-    sum of the latent pmf over it (``_pmf_blocks``), within about
-    3*PMF_ANCHOR_EVERY*eps relative, and the masses beyond the table are
-    cdf(lo - 1) and sf(hi) at its ends.  Otherwise each block is a
-    difference of the tail function at its edges, the cdf up to the mean
+    For short blocks in a long table (``_pmf_is_cheaper``: n at most the
+    family's ``_PMF_MAX_BLOCK``, at least ``_PMF_MIN_ENTRIES`` entries),
+    where it is the cheaper route, each block is the sum of the latent pmf
+    over it (``_pmf_blocks``), within about 3*PMF_ANCHOR_EVERY*eps
+    relative, and the masses beyond the table are cdf(lo - 1) and sf(hi)
+    at its ends.  Otherwise each block is a difference of the tail
+    function at its edges, the cdf up to the mean
     and the survival function beyond it, so both tails keep full absolute
     precision; each edge is read once.  That route carries the tails'
     relative error, times the tail over the block: ``Binomial(29_973_776,
@@ -390,11 +390,10 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
         raise ValueError(f"the latent window ends at {y_hi}, too close to the int64 limit "
                          f"for blocks of n={n}")
     lo, hi = _block_bounds(n, scheme.tie_rule, np.arange(v_lo, v_hi + 1))
-    top = int(hi[-1])
-    if _pmf_is_cheaper(model, n, len(lo), top):
+    if _pmf_is_cheaper(model, n, len(lo)):
         return RoundedPmf(n=n, probs=_pmf_blocks(model, n, lo, hi), first=int(v_lo),
                           mass_below=float(model.cdf(int(lo[0]) - 1)),
-                          mass_above=float(model.sf(top)), route="pmf")
+                          mass_above=float(model.sf(int(hi[-1]))), route="pmf")
     # Block i is (edges[i], edges[i+1]]; the blocks ending at or below the
     # mean come first and take the cdf, the rest the survival function.
     edges = np.concatenate(([lo[0] - 1], hi)).astype(float)
@@ -406,48 +405,28 @@ def _table_over(model: CountDistribution, scheme: RoundingScheme,
                       mass_above=float(max(above[-1], 0.0)))
 
 
-#: Measured costs of the two routes of a table of U in us, on one core of a
-#: 2-CPU x86-64 machine: per block edge read off the tails, at a latent
-#: window of 100 points and more per tenfold wider window, then the pmf
-#: sums' extra fixed cost, per block and per latent point.  A Poisson edge
-#: below the mean or less than 4.5 sd above it costs 0.15-0.33 us at means
-#: from 1e3 to 1e7; a far edge beyond that costs more
-#: (``_SLOW_READ_COST``).  The negative binomial costs 0.75-1.05 us an edge
-#: at means 1e1 to 5e5; for the binomial it grows from 0.28 us at 200
-#: trials (a window of 90 points) to 0.65 us at 15,500 and 1.45 us at 2e7
-#: (29,000 points).  A latent point costs 10-15 ns in chunks of
-#: ``_PMF_CHUNK`` and a block 20-30 ns more (its reduction).  A warm process
-#: pays about 25 us more for the route than for the tails, but the first
-#: pmf-route table in a fresh interpreter about 120 us more than later ones
-#: (the first calls of its numpy and Python code), so the fixed cost is
-#: taken as 80 us: a table must save that much before it leaves the tails,
-#: and a one-off command on a short table stays on them.  In long tables the
-#: pmf sums are then the cheaper route up to about n = 18 for the Poisson
-#: at means from 5e4 (higher below, where a fifth of the edges are slow
-#: reads) and 55 for the negative binomial, and for the binomial up to
-#: n = 60-95 at 1e5 to 1e7 trials.
-_TABLE_COSTS = {
-    "poisson": (0.25, 0.0, 80.0, 0.03, 0.012),
-    "binomial": (0.3, 0.45, 80.0, 0.03, 0.015),
-    "negbinomial": (0.85, 0.0, 80.0, 0.03, 0.015),
-}
+#: The longest block, per latent family, that a table of U sums from the
+#: latent pmf (``_pmf_is_cheaper``).  Measured on one core of a 2-CPU x86-64
+#: machine, a latent point costs 10-15 ns on the pmf route and a block
+#: 20-30 ns more (its reduction), against 0.15-0.33 us per Poisson block
+#: edge read off the tails (a fifth of them, 4.5 sd or more above the mean,
+#: 0.7-1.9 us each), 0.75-1.05 us per negative binomial edge and, for the
+#: binomial, from 0.28 us at 200 trials to 0.65 us at 15,500 and 1.45 us at
+#: 2e7.  Each limit stops short of where the pmf sums stop being cheaper
+#: in long tables (n = 15 for the Poisson at means from 2e6, 55 for the
+#: negative binomial).  Timed on both routes over 416 tables (means 1e3 to
+#: 1e7, 1e3 to 1e8 trials, n up to 100), the tables that the limits and
+#: ``_PMF_MIN_ENTRIES`` misroute cost at most about a fifth more.
+_PMF_MAX_BLOCK = {"poisson": 12, "binomial": 100, "negbinomial": 40}
 
-#: Measured cost in us of one upper-tail read that the latent family
-#: evaluates point by point (``CountDistribution._slow_edge_reads``), on the
-#: machine of ``_TABLE_COSTS``.  A fifth of a Poisson table's edges lie 4.5
-#: sd or more above the mean, at any mean; each costs 0.7 us at a mean of
-#: 1e4, rising to 1.4 us just below 5e4, in pdtrc's series, and about 1.9 us
-#: from 5e4 in Temme's expansion, whose array form costs as much as 22
-#: points.  One price per edge cannot follow that: over the 240 Poisson
-#: tables of the ``tables-wide`` benchmark at seeds 1-4, the best one (0.5
-#: us) routes an n = 7 table at a mean of 1e4 more than 10 % above the
-#: cheaper route, and any dearer one the n = 31 tables at 2.8e6; over means
-#: 1e3 to 1e7 and n = 2 to 31 it misroutes 32 of 200 tables.  With the far
-#: reads priced apart none of the 240 is misrouted; of the 200, 17 stay on
-#: the tails where the pmf sums cost less, most of them short tables that
-#: the 80 us fixed cost keeps there, and 6 at n = 10-15 take the pmf sums at
-#: up to 26 % more.
-_SLOW_READ_COST = 1.5
+#: The fewest entries of a table of U that takes the pmf sums.  The first
+#: pmf-route table in a fresh interpreter costs about 120 us more than
+#: later ones (the first calls of its numpy and Python code), so a short
+#: table of a one-off command or a fit stays on the tails even where a warm
+#: process sums it faster: ``NegativeBinomial(5, 0.35)`` at n = 1 (90
+#: entries) takes 77 us warm on the pmf route against 114 us on the tails,
+#: ``NegativeBinomial(5, 0.3)`` at n = 1 (109 entries) 81 against 132 us.
+_PMF_MIN_ENTRIES = 100
 
 #: Latent points the pmf route holds at once, in chunks of whole blocks, so
 #: that each temporary array stays at 128 KiB.  At 2**16 (512 KiB each) the
@@ -460,16 +439,12 @@ _SLOW_READ_COST = 1.5
 _PMF_CHUNK = 2**14
 
 
-def _pmf_is_cheaper(model: CountDistribution, n: int, entries: int, top: int) -> bool:
-    """Whether a table of ``entries`` blocks of about n latent points each,
-    its last block edge at ``top``, costs less summed from the latent pmf
-    than read off the latent tails, by ``_TABLE_COSTS`` and the slow tail
-    reads the family counts from its parameters; a tie takes the tails."""
-    per_edge, per_decade, pmf_fixed, per_block, per_point = _TABLE_COSTS[model.kind]
-    if per_decade:
-        per_edge += per_decade * math.log10(n * entries / 100.0)
-    tails = per_edge * entries + _SLOW_READ_COST * model._slow_edge_reads(top, n)
-    return pmf_fixed + (per_block + per_point * n) * entries < tails
+def _pmf_is_cheaper(model: CountDistribution, n: int, entries: int) -> bool:
+    """Whether a table of ``entries`` blocks of about n latent points each is
+    summed from the latent pmf rather than read off the latent tails: its
+    blocks are at most the family's ``_PMF_MAX_BLOCK`` long and it holds at
+    least ``_PMF_MIN_ENTRIES`` entries."""
+    return n <= _PMF_MAX_BLOCK[model.kind] and entries >= _PMF_MIN_ENTRIES
 
 
 def _pmf_blocks(model: CountDistribution, n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -510,7 +485,9 @@ def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
     is at least ``TAIL_ROUTE_MIN_PROB`` and the larger tail read is at most
     ``TAIL_RATIO_LIMIT`` times p.  Otherwise, far out in the tails and for
     an empty binomial block, it is the log-sum-exp of the latent log-pmf
-    over the block.
+    over the block, taken over ``_PMF_CHUNK`` points at a time and then
+    over the chunks, so that a block of any length holds one chunk in
+    memory.
     """
     mean = model.mean()
     if hi <= mean:
@@ -524,7 +501,9 @@ def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
         larger, p = max(below, above), 1.0 - below - above
     if p >= TAIL_ROUTE_MIN_PROB and larger <= TAIL_RATIO_LIMIT * p:
         return math.log(p)
-    return _logsumexp(model.logpmf(np.arange(lo, hi + 1)))
+    chunks = [_logsumexp(model.logpmf(np.arange(start, min(start + _PMF_CHUNK, hi + 1))))
+              for start in range(lo, hi + 1, _PMF_CHUNK)]
+    return chunks[0] if len(chunks) == 1 else _logsumexp(np.array(chunks))
 
 
 def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float:

@@ -509,19 +509,3 @@ def test_poisson_sf_of_a_batch_is_its_points_bitwise(theta, far):
     for batch in (ks, ks[::-1], np.concatenate((near[:4], ks[:far], near[4:]))):
         assert model.sf(batch).tobytes() == np.array([model.sf(k) for k in batch]).tobytes()
 
-
-@pytest.mark.parametrize("theta", [100.0, 1234.5, 1e4, 49_999.0, 5e4, 1e5, 1e6, 1e7])
-def test_poisson_slow_edge_reads_count_the_far_edges(theta):
-    # Edges step apart down from top: the count from the parameters alone is
-    # within one of the edges that take the far formula, capped from a mean
-    # of 5e4 where the expansion reads more than _TEMME_SCALAR_MAX as one array.
-    for step in (1, 3, 7, 31):
-        for z in (0.0, 4.4, 5.0, 6.0, 7.5, 12.0):
-            top = math.floor(theta + z * math.sqrt(theta))
-            a = np.arange(top, theta - 1.0, -step, dtype=float) + 1.0
-            far = np.count_nonzero(a - theta >= 4.5 * np.sqrt(a))
-            if theta >= 5e4:
-                far = min(far, _TEMME_SCALAR_MAX)
-            assert abs(Poisson(theta)._slow_edge_reads(top, step) - far) <= 1.0, (step, z)
-            for model in (Binomial(1000, 0.3), NegativeBinomial(5.0, 0.4)):
-                assert model._slow_edge_reads(top, step) == 0.0

@@ -43,6 +43,10 @@ from roundedcounts.rounding import (
     NumericalInconsistencyError,
     _accepted,
     _logsumexp,
+    _PMF_CHUNK,
+    _PMF_MAX_BLOCK,
+    _PMF_MIN_ENTRIES,
+    _block_logpmf,
     _mle_mean_branch,
     _moments_series,
     _pmf_is_cheaper,
@@ -437,6 +441,33 @@ class TestRoundedLogpmf:
         ref = mp_block_logprob(model, block.start, block.stop - 1)
         assert got == ref == -math.inf or abs(got - ref) < 1e-11
 
+    def test_far_tail_sum_holds_one_chunk_at_a_time(self):
+        # The block of u = 10**6 holds 10**6 latent points, about 70 MiB as
+        # one array of log-pmf values and its temporaries.
+        model, scheme = Poisson(1.0), RoundingScheme(10**6)
+        tracemalloc.start()
+        try:
+            got = rounded_logpmf(model, scheme, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        block = support_block(10**6, scheme)
+        whole = _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
+        assert abs(got - whole) <= 1e-14 * abs(whole)
+
+    # Blocks one short of a chunk, exactly one, one over, and two and a bit,
+    # 40 sd below a mean of 1e9, where the log-pmf climbs by about 20 over a
+    # chunk: the last chunk is cut at the block's end and no point is
+    # summed twice.
+    @pytest.mark.parametrize("length", [_PMF_CHUNK - 1, _PMF_CHUNK, _PMF_CHUNK + 1,
+                                        2 * _PMF_CHUNK + 3])
+    def test_far_tail_chunks_cover_the_block_once(self, length):
+        model, lo = Poisson(1e9), 10**9 - 40 * 31_623
+        got = _block_logpmf(model, lo, lo + length - 1)
+        whole = _logsumexp(model.logpmf(np.arange(lo, lo + length)))
+        assert abs(got - whole) <= 1e-14 * abs(whole)
+
 
 def assert_entries_match_40_digits(model, scheme, table):
     """The table's two ends, quartiles and mode within 1e-12 relative of a
@@ -454,8 +485,8 @@ def pmf_route_schemes(draw):
     """A model and a scheme whose table takes the pmf route: a Poisson mean
     from 1e3 to 1e9, a binomial of 1e5 to 1e9 trials with p in [0.01, 0.99]
     or a negative binomial with mean 1e2 to 1e7 and sd at most 3e4 (size at
-    least 0.5); n from 1 to 60, lowered to the largest n at which the pmf
-    sums are the cheaper route.  Every latent window is under 1e6 points."""
+    least 0.5); n from 1 to 60, lowered to the largest n at which the
+    table takes the pmf route.  Every latent window is under 1e6 points."""
     family = draw(st.sampled_from(["poisson", "binomial", "negbinomial"]))
     if family == "poisson":
         model = Poisson(10.0 ** draw(st.floats(3.0, 9.0)))
@@ -469,9 +500,7 @@ def pmf_route_schemes(draw):
     tie = draw(st.sampled_from([HALF_UP, HALF_EVEN]))
     y_lo, y_hi = model.support_window(TAIL_EPS)
     for n in range(draw(st.integers(1, 60)), 0, -1):
-        v_hi = round_count(y_hi, n, tie)
-        top = support_block(v_hi * n, RoundingScheme(n, tie)).stop - 1
-        if _pmf_is_cheaper(model, n, v_hi - round_count(y_lo, n, tie) + 1, top):
+        if _pmf_is_cheaper(model, n, round_count(y_hi, n, tie) - round_count(y_lo, n, tie) + 1):
             break
     return model, RoundingScheme(n, tie)
 
@@ -498,14 +527,20 @@ class TestPmfRoute:
         assert table.route == "pmf"
         assert_entries_match_40_digits(model, scheme, table)
 
-    # A fifth of the n = 7 edges lie 4.5 sd or more above the mean, where
-    # each tail read is slow; at n = 31 the tails stay cheaper.  The other
-    # tables are at least as large as any that the Monte Carlo cells, the
-    # fits and the commands build in the benchmark (34 entries, or 367
-    # latent points), too short to repay the pmf route's fixed cost.
+    # The pmf sums take blocks of at most 12 (Poisson), 100 (binomial) and
+    # 40 (negative binomial) latent points in tables of at least 100
+    # entries.  The negative binomial pair at n = 1 holds 90 and 109
+    # entries; the binomial table at n = 31, 106.  The last four tables are
+    # of the kind that the Monte Carlo cells, the fits and the commands
+    # build in the benchmark (up to 87 entries), too short to repay the pmf
+    # route's fixed cost.
     @pytest.mark.parametrize("model, n, route", [
         (Poisson(46_290), 7, "pmf"),
         (Poisson(46_290), 31, "tails"),
+        (Poisson(2_835_502.7), 31, "tails"),
+        (Binomial(299_002, 0.23233916928100928), 31, "pmf"),
+        (NegativeBinomial(5.0, 0.3), 1, "pmf"),
+        (NegativeBinomial(5.0, 0.35), 1, "tails"),
         (Poisson(30), 1, "tails"),
         (Poisson(800), 200, "tails"),
         (NegativeBinomial(2.0, 0.3), 3, "tails"),
@@ -513,6 +548,15 @@ class TestPmfRoute:
     ], ids=repr)
     def test_tables_take_their_cheaper_route(self, model, n, route):
         assert rounded_pmf(model, RoundingScheme(n)).route == route
+
+    @pytest.mark.parametrize("model", [Poisson(1e6), Binomial(10**7, 0.4),
+                                       NegativeBinomial(50.0, 1e-3)], ids=repr)
+    def test_rule_turns_at_the_familys_block_limit_and_the_least_entries(self, model):
+        limit = _PMF_MAX_BLOCK[model.kind]
+        assert _pmf_is_cheaper(model, limit, _PMF_MIN_ENTRIES)
+        assert not _pmf_is_cheaper(model, limit + 1, _PMF_MIN_ENTRIES)
+        assert not _pmf_is_cheaper(model, limit, _PMF_MIN_ENTRIES - 1)
+        assert _pmf_is_cheaper(model, 1, 10**6)
 
     def test_long_blocks_keep_the_tails_bit_for_bit(self):
         # 45 entries of 1e8 latent points each, about 4.4e9 points.

@@ -68,7 +68,11 @@ def cases(rc) -> list[tuple[str, object]]:
     # route, and a pmf-route table of 32,249 latent points, two chunks.
     far_n7, long_n7 = rc.Poisson(46_290), rc.Poisson(5_252_673.09)
     three, seven = rc.RoundingScheme(3, rc.HALF_EVEN), rc.RoundingScheme(7)
-    thirty_one = rc.RoundingScheme(31)
+    thirty_one, one = rc.RoundingScheme(31), rc.RoundingScheme(1)
+    # Tables of 106 and 109 entries, just past the pmf route's minimum: a
+    # binomial at n = 31 and a negative binomial at n = 1.
+    short_binomial = rc.Binomial(299_002, 0.23233916928100928)
+    short_negbin = rc.NegativeBinomial(5.0, 0.3)
     grid = (0.2, 0.35, 0.5, 0.65, 0.8)
     return [
         ("cdf Poisson(20) at 18", lambda: small.cdf(18)),
@@ -90,6 +94,9 @@ def cases(rc) -> list[tuple[str, object]]:
         ("rounded_pmf Poisson(2_835_502.7) n=31", lambda: rc.rounded_pmf(wide_n31, thirty_one)),
         ("rounded_pmf Poisson(46_290) n=7", lambda: rc.rounded_pmf(far_n7, seven)),
         ("rounded_pmf Poisson(5_252_673.09) n=7", lambda: rc.rounded_pmf(long_n7, seven)),
+        ("rounded_pmf Binomial(299_002, 0.2323) n=31",
+         lambda: rc.rounded_pmf(short_binomial, thirty_one)),
+        ("rounded_pmf NegativeBinomial(5, 0.3) n=1", lambda: rc.rounded_pmf(short_negbin, one)),
         *[(f"true_significance {mode} m=20 n=5 x5",
            lambda mode=mode: rc.true_significance(20, 5, grid, 0.05, mode))
           for mode in ("misspecified-u", "exact-y", "binned-u")],
