@@ -8,7 +8,8 @@ probabilities of Y per lattice point.  This module provides:
 * exact tabulation of P(U = u) over the lattice points between two tail
   quantiles of Y (both tie rules), each block read off two latent tails or,
   for short blocks in long tables, summed from the latent pmf, and the
-  binned log-likelihood log P(U = u) of one block, read off the same tails,
+  binned log-likelihood log P(U = u) of one block, read off the same tails
+  or, far out in them, summed from the latent pmf relative to one point,
 * the generating function of U as a roots-of-unity filter applied to the
   generating function of Y (round-half-up only), refused at any point where
   its forward error bound exceeds ``SERIES_RTOL``,
@@ -74,6 +75,8 @@ MAX_TABLE_ENTRIES = 2**22
 SERIES_RTOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Direct generating-function evaluation is refused this close to a root of
 #: unity (the singularities are removable but cancellation is catastrophic).
@@ -240,20 +243,25 @@ def _block_bounds(n: int, tie_rule: str, v) -> tuple[np.ndarray, np.ndarray]:
     Round-half-up maps y = v*n - floor(n/2), ..., v*n + n - 1 - floor(n/2) to
     v.  Half-even at even n hands each tie value to the even neighbour: even
     v gains the upper tie value and odd v loses the lower one.  Blocks are
-    clipped to non-negative counts.
+    clipped to non-negative counts; a Python int v gives Python ints, exact
+    past int64.
     """
     u = v * n
     lo, hi = u - n // 2, u + (n - 1) - n // 2
     if tie_rule == HALF_EVEN and n % 2 == 0:
         odd = v % 2
         lo, hi = lo + odd, hi + 1 - odd
-    return np.maximum(lo, 0), hi
+    return lo * (lo > 0), hi
 
 
 def support_block(u, scheme: RoundingScheme) -> range:
-    """Inclusive range of latent counts y with n*[y/n] == u."""
+    """Inclusive range of latent counts y with n*[y/n] == u.  A block that
+    reaches the int64 limit, where numpy can no longer hold its points,
+    raises ValueError."""
     v = _check_lattice(u, scheme.n) // scheme.n
     lo, hi = _block_bounds(scheme.n, scheme.tie_rule, v)
+    if hi >= _INT64_MAX:
+        raise ValueError(f"the block of u={u} reaches the int64 limit of {_INT64_MAX}")
     return range(int(lo), int(hi) + 1)
 
 
@@ -325,8 +333,6 @@ class RoundedPmf:
 
 #: Default probability each side of a table leaves out: the package's one truncation rule.
 TAIL_EPS = 1e-12
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def rounded_pmf(model: CountDistribution, scheme: RoundingScheme,
@@ -474,6 +480,12 @@ TAIL_RATIO_LIMIT = 1e6
 #: all accuracy and return 0 at some k.
 TAIL_ROUTE_MIN_PROB = 1e-200
 
+#: Latent points on each side of its anchor that the log-likelihood's
+#: anchored sum reads in its first log-pmf call (``_block_logpmf``), so that
+#: a far block of up to 16 points takes one call, point by point on Python
+#: floats; later pieces hold ``_PMF_CHUNK`` points.
+_FIRST_REACH = 15
+
 
 def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
     """log P(lo <= Y <= hi) for 0 <= lo <= hi: the log-likelihood of a block.
@@ -483,11 +495,17 @@ def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
     sf(lo - 1) - sf(hi) for one starting above it, and
     1 - cdf(lo - 1) - sf(hi) for one around it.  log(p) is returned when p
     is at least ``TAIL_ROUTE_MIN_PROB`` and the larger tail read is at most
-    ``TAIL_RATIO_LIMIT`` times p.  Otherwise, far out in the tails and for
-    an empty binomial block, it is the log-sum-exp of the latent log-pmf
-    over the block, taken over ``_PMF_CHUNK`` points at a time and then
-    over the chunks, so that a block of any length holds one chunk in
-    memory.
+    ``TAIL_RATIO_LIMIT`` times p.  Otherwise, far out in the tails, it is
+    the latent pmf summed relative to the block's point a nearest the mean:
+    log P(Y = a) + log(the sum of P(Y = k)/P(Y = a) over the block).
+    Loader's log-pmf keeps its relative precision at any count, so no term
+    that matters underflows.  The first log-pmf call reads up to
+    ``_FIRST_REACH`` points each side of a; the sum then walks away from a
+    on each side in pieces of ``_PMF_CHUNK`` points and stops once the
+    points left on that side times its last term are at most eps of the
+    sum.  The pmf is unimodal, so past its mode that bounds the rest: a far
+    block is cut after a few terms and one of any length holds one piece in
+    memory.  A binomial block past the trials is -inf.
     """
     mean = model.mean()
     if hi <= mean:
@@ -501,42 +519,37 @@ def _block_logpmf(model: CountDistribution, lo: int, hi: int) -> float:
         larger, p = max(below, above), 1.0 - below - above
     if p >= TAIL_ROUTE_MIN_PROB and larger <= TAIL_RATIO_LIMIT * p:
         return math.log(p)
-    chunks = [_logsumexp(model.logpmf(np.arange(start, min(start + _PMF_CHUNK, hi + 1))))
-              for start in range(lo, hi + 1, _PMF_CHUNK)]
-    return chunks[0] if len(chunks) == 1 else _logsumexp(np.array(chunks))
+    a = min(max(int(mean + 0.5), lo), hi)
+    logs = model.logpmf(np.arange(max(lo, a - _FIRST_REACH), min(hi, a + _FIRST_REACH) + 1))
+    log_a = float(logs[min(a - lo, _FIRST_REACH)])
+    if log_a == -math.inf:  # past the binomial trials, or a degenerate model off its point
+        return log_a
+    terms = np.exp(logs - log_a)
+    total = float(terms.sum())
+    # Each side walks on from distance d = _FIRST_REACH + 1 from a up to far,
+    # one past the block's end.  Past the mode the points left weigh at most
+    # their count times the last term; short of it the last term is the
+    # largest yet, so the test cannot pass before about 1/eps points.
+    for step, far, edge in ((1, hi - a + 1, terms[-1]), (-1, a - lo + 1, terms[0])):
+        d = _FIRST_REACH + 1
+        while d < far and (far - d) * edge > _EPS * total:
+            terms = np.exp(model.logpmf(a + step * np.arange(d, min(d + _PMF_CHUNK, far))) - log_a)
+            total += float(terms.sum())
+            d, edge = d + _PMF_CHUNK, terms[-1]
+    return log_a + math.log(total)
 
 
 def rounded_logpmf(model: CountDistribution, scheme: RoundingScheme, u) -> float:
     """log P(U = u), the binned log-likelihood of a single observed u.
 
     P(U = u) is the probability of the block of latent values that round to
-    u, read off two latent tails at the block's edges (see ``_block_logpmf``);
-    far out in the tails it is the log-sum-exp of the latent log-pmf over
-    the block.
+    u, read off two latent tails at the block's edges; far out in the tails
+    it is the latent pmf summed relative to the block's point nearest the
+    mean (see ``_block_logpmf``).  A block that reaches the int64 limit
+    raises ValueError (``support_block``).
     """
     block = support_block(u, scheme)
     return _block_logpmf(model, block.start, block.stop - 1)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for a non-empty 1-d array, bit for bit as
-    ``scipy.special.logsumexp`` computes it without its dispatch layer.
-
-    The entries equal to the maximum are split off, and the rest are summed
-    relative to it: log1p(sum(exp(rest - max)) / m) + log(m) + max, where m
-    counts the maxima.  A non-finite maximum (all -inf, +inf or NaN) takes
-    the direct log(sum(exp(a))).
-    """
-    a_max = a.max()
-    if not np.isfinite(a_max):
-        with np.errstate(divide="ignore"):
-            return float(np.log(np.sum(np.exp(a))))
-    at_max = a == a_max
-    m = float(np.count_nonzero(at_max))
-    # The maxima stay in the sum as exact zeros, so the summation order
-    # matches scipy's.
-    rest = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
-    return float(np.log1p(rest / m) + np.log(m) + a_max)
 
 
 def _require_half_up(scheme: RoundingScheme, what: str):
@@ -715,29 +728,28 @@ def _accepted(report: MomentReport) -> MomentReport | None:
     return report
 
 
-#: Measured costs of the two moment routes in us, on one core of a 2-CPU
-#: x86-64 machine: the series (fixed, per root) and the table of U with its
-#: window search (fixed, per entry).
-_ROUTE_COSTS = {
-    "poisson": (13.0, 0.024, 24.0, 0.2),
-    "binomial": (20.0, 0.126, 25.0, 0.6),
-    "negbinomial": (19.0, 0.074, 50.0, 0.47),
-}
+#: The moments' route per latent family: the table of U costs about as much
+#: as ``fixed`` roots of the series plus ``per_entry`` roots for each of its
+#: entries (``_table_is_cheaper``), the ratios of the two routes' fixed and
+#: per-root or per-entry costs measured on one core of a 2-CPU x86-64
+#: machine.  At 2,418 (model, n) points of the three families, n from 24 to
+#: 2**20, this picks the route of those measured costs at all but four
+#: binomial points at its switch, each within 4 % of that route's time.
+_TABLE_ROUTE = {"poisson": (448, 8), "binomial": (32, 5), "negbinomial": (416, 6)}
 
 
 def _table_is_cheaper(model: CountDistribution, n: int, tail_eps: float) -> bool:
-    """Whether the table of U costs less than the series, by ``_ROUTE_COSTS``
-    and the table length estimated from the mean, sd and skewness of Y: the
-    Cornish-Fisher window (``model._cornish_fisher``) with
+    """Whether the moments take the table of U rather than the series: n is
+    at least the family's ``_TABLE_ROUTE`` fixed cost plus its cost per entry
+    times the table length estimated from the mean, sd and skewness of Y,
+    the Cornish-Fisher window (``model._cornish_fisher``) with
     z = sqrt(2 log(1/tail_eps)), a little above the normal quantile that
     ``support_window`` starts from.  No tail is read."""
-    series_fixed, per_root, table_fixed, per_entry = _ROUTE_COSTS[model.kind]
-    series = series_fixed + per_root * n
-    if series <= table_fixed:
+    fixed, per_entry = _TABLE_ROUTE[model.kind]
+    if n < fixed:
         return False
     lo, hi = model._cornish_fisher(math.sqrt(2.0 * math.log(1.0 / tail_eps)))
-    entries = (hi - max(0.0, lo)) / n + 2.0
-    return table_fixed + per_entry * entries < series
+    return n >= fixed + per_entry * ((hi - max(0.0, lo)) / n + 2.0)
 
 
 def rounded_moments_series(model: CountDistribution, scheme: RoundingScheme) -> MomentReport:

@@ -388,6 +388,15 @@ def test_numerical_failure_exit_code(capsys):
     assert json.loads(err.strip())["type"] == "NoMaximumError"
 
 
+def test_a_total_past_the_int64_limit_is_refused(capsys):
+    code, out, err = run_cli(capsys, "mle", "--u", str(2**63), "--n", "1")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.strip())
+    assert error["type"] == "ValueError"
+    assert "int64 limit of 9223372036854775807" in error["error"]
+
+
 def test_seed_env_override(capsys, monkeypatch):
     monkeypatch.setenv("ROUNDEDCOUNTS_SEED", "777")
     code, out, _ = run_cli(capsys, "pmf", "--dist", "poisson", "--theta", "1",

@@ -7,8 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy import special, stats
+from scipy import stats
 
 from roundedcounts import (
     HALF_EVEN,
@@ -42,7 +41,7 @@ from roundedcounts.rounding import (
     MomentReport,
     NumericalInconsistencyError,
     _accepted,
-    _logsumexp,
+    _FIRST_REACH,
     _PMF_CHUNK,
     _PMF_MAX_BLOCK,
     _PMF_MIN_ENTRIES,
@@ -283,51 +282,6 @@ class TestRoundedPmf:
         assert np.all(np.abs(emp[: len(table.probs)] - table.probs) < 5 * sigma + 1e-9)
 
 
-@st.composite
-def log_terms(draw):
-    """Inputs of _logsumexp: a latent log-pmf over 1-300 consecutive values
-    (binomial runs past its support give -inf entries), or 1-300 arbitrary
-    values around 0, -700 or -1e4 with repeated maxima and -inf entries,
-    and now and then all -inf."""
-    size = draw(st.integers(1, 300))
-    if draw(st.booleans()):
-        model = draw(st.sampled_from([Poisson(0.3), Poisson(40.0), Poisson(5e3),
-                                      Binomial(60, 0.3), NegativeBinomial(2.5, 0.2)]))
-        start = draw(st.integers(0, 150))
-        return np.asarray(model.logpmf(np.arange(start, start + size)))
-    a = draw(arrays(np.float64, size, elements=st.floats(-40.0, 40.0)))
-    a += draw(st.sampled_from([0.0, -700.0, -1e4]))
-    a[draw(st.lists(st.integers(0, size - 1), max_size=6))] = a.max()
-    a[draw(st.lists(st.integers(0, size - 1), max_size=20))] = -np.inf
-    if draw(st.integers(0, 9)) == 0:
-        a[:] = -np.inf
-    return a
-
-
-class TestLogSumExp:
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(log_terms())
-    def test_equals_scipy_exactly(self, a):
-        assert _logsumexp(a) == float(special.logsumexp(a))
-
-    @pytest.mark.parametrize("model, lo, hi", [
-        (Poisson(2.0), 0, 1), (Poisson(7.3), 20, 24), (Poisson(2.0), 60, 80),
-        (Poisson(1e4), 11_000, 11_030), (Binomial(1000, 0.4), 450, 480),
-        (Binomial(60, 0.3), 55, 70), (NegativeBinomial(2.5, 0.05), 100, 299),
-    ], ids=repr)
-    def test_matches_50_digit_sum(self, model, lo, hi):
-        a = np.asarray(model.logpmf(np.arange(lo, hi + 1)))
-        with mp.workdps(50):
-            ref = mp.log(mp.fsum(mp.exp(mp.mpf(float(x))) for x in a))
-            assert abs((mp.mpf(_logsumexp(a)) - ref) / ref) < 1e-15
-
-    def test_edge_values(self):
-        assert _logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
-        assert _logsumexp(np.array([np.inf, 0.0])) == np.inf
-        assert math.isnan(_logsumexp(np.array([np.nan, 0.0])))
-        assert _logsumexp(np.array([0.0, 0.0])) == math.log(2.0)
-
-
 def mp_block_logprob(model, lo, hi):
     """log P(lo <= Y <= hi) at 40 digits: the latent pmf summed over the block."""
     with mp.workdps(40):
@@ -374,15 +328,30 @@ def blocks_across_the_support(draw):
     return model, scheme, scheme.n * round_count(y, scheme.n, scheme.tie_rule)
 
 
+def mp_poisson_block_logprob(theta, lo, hi):
+    """log P(lo <= Y <= hi) for a Poisson Y at 40 digits, 0 < lo, from the
+    regularized incomplete gamma function on the block's side of the mean:
+    P(Y <= k) = Q(k + 1, theta) below it and P(Y >= k) = P(k, theta) above."""
+    with mp.workdps(40):
+        t = mp.mpf(theta)
+        if lo > theta:
+            p = mp.gammainc(lo, 0, t, regularized=True) - mp.gammainc(hi + 1, 0, t, regularized=True)
+        else:
+            p = (mp.gammainc(hi + 1, t, mp.inf, regularized=True)
+                 - mp.gammainc(lo, t, mp.inf, regularized=True))
+        return mp.log(p)
+
+
 class TestRoundedLogpmf:
-    # The error bound per family.  Over about 16,000 random blocks per
-    # family, the tail route exceeded max(1e-11, the log-sum-exp's own error)
-    # only at blocks where the log-sum-exp happened to be nearly exact: by at
-    # most 1.2e-11 for the Poisson (far tail, where both routes carry the
-    # rounding of an exponent near 1e5), 1.3e-9 for the binomial
-    # (Binomial(1.6e8, 0.95) at n = 1: the incomplete beta's 1.3e-12 relative
-    # error times a tail 1,041 times the block) and 5.5e-11 for the negative
-    # binomial.
+    # The error bound per family, which the 400 examples below meet: their
+    # worst errors are 5.3e-13 (Poisson), 4.4e-10 (binomial) and 1.6e-12
+    # (negative binomial).  It does not bound the tail route, where a block
+    # carries the tails' relative error times the ratio of the larger tail
+    # to it, up to TAIL_RATIO_LIMIT: other draws reach 2.6e-11 at
+    # Poisson(1e7), n = 1, u = 10_018_973 and 8.3e-10 at Poisson(1e9), n = 1,
+    # u = 1_000_284_604, and 1.3e-9 at Binomial(1.6e8, 0.95), n = 1 (the
+    # incomplete beta's 1.3e-12 relative error times a tail 1,041 times the
+    # block).
     FLOOR = {"poisson": 2e-11, "binomial": 2e-9, "negbinomial": 1e-10}
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -395,14 +364,13 @@ class TestRoundedLogpmf:
         if ref == -math.inf:
             assert got == -math.inf
             return
-        by_log_pmf = _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
-        assert abs(got - ref) <= max(self.FLOOR[model.kind], abs(by_log_pmf - ref))
+        assert abs(got - ref) <= self.FLOOR[model.kind]
 
     # The log-gamma pmf was off by 4.7e-7, 1.5e-8, 1.4e-10, 1.5e-6, 4.4e-8
     # and 3.8e-9 at these blocks, and by 8e-5, 1.1e-2, 1.8e-1 and 1.0e-2 at
-    # the four after them, which the log-sum-exp of the log-pmf serves (the
-    # block is under 1e-6 of the larger tail); there 1.4e-11 is within 1e-12
-    # of the log-likelihood, about -15.
+    # the four after them, which the anchored pmf sum serves (the block is
+    # under 1e-6 of the larger tail); there 1.4e-11 is within 1e-12 of the
+    # log-likelihood, about -15.
     @pytest.mark.parametrize("model, n, u, bound", [
         (Poisson(1e12), 1, 10**12, 1.4e-11),
         (Poisson(1e13), 1, 10**13, 1.4e-11),
@@ -434,10 +402,9 @@ class TestRoundedLogpmf:
         # the tail above 2823, 22 % low, and 0.0 at k = 2799, 2802, ..., 2820.
         (Binomial(2836, 0.7728568951795121), 16, 2832),
     ], ids=repr)
-    def test_far_tails_take_the_log_sum_exp_bit_for_bit(self, model, n, u):
+    def test_far_tails_match_a_40_digit_sum(self, model, n, u):
         block = support_block(u, RoundingScheme(n))
         got = rounded_logpmf(model, RoundingScheme(n), u)
-        assert got == _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
         ref = mp_block_logprob(model, block.start, block.stop - 1)
         assert got == ref == -math.inf or abs(got - ref) < 1e-11
 
@@ -453,20 +420,75 @@ class TestRoundedLogpmf:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         block = support_block(10**6, scheme)
-        whole = _logsumexp(model.logpmf(np.arange(block.start, block.stop)))
-        assert abs(got - whole) <= 1e-14 * abs(whole)
+        ref = mp_poisson_block_logprob(1.0, block.start, block.stop - 1)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
-    # Blocks one short of a chunk, exactly one, one over, and two and a bit,
-    # 40 sd below a mean of 1e9, where the log-pmf climbs by about 20 over a
-    # chunk: the last chunk is cut at the block's end and no point is
-    # summed twice.
-    @pytest.mark.parametrize("length", [_PMF_CHUNK - 1, _PMF_CHUNK, _PMF_CHUNK + 1,
-                                        2 * _PMF_CHUNK + 3])
+    # Blocks 40 sd below a mean of 1e9, where the log-pmf climbs by about 20
+    # over a chunk, summed down from their top: the first call's points
+    # alone and one more; one short of a chunk, exactly one and one over;
+    # the first call and a whole piece, and one more; and two chunks and a
+    # bit, where the sum stops about 30,000 points down.  The last piece is
+    # cut at the block's end and no point is summed twice.
+    @pytest.mark.parametrize("length", [_FIRST_REACH + 1, _FIRST_REACH + 2,
+                                        _PMF_CHUNK - 1, _PMF_CHUNK, _PMF_CHUNK + 1,
+                                        _FIRST_REACH + 1 + _PMF_CHUNK,
+                                        _FIRST_REACH + 2 + _PMF_CHUNK, 2 * _PMF_CHUNK + 3])
     def test_far_tail_chunks_cover_the_block_once(self, length):
         model, lo = Poisson(1e9), 10**9 - 40 * 31_623
         got = _block_logpmf(model, lo, lo + length - 1)
-        whole = _logsumexp(model.logpmf(np.arange(lo, lo + length)))
-        assert abs(got - whole) <= 1e-14 * abs(whole)
+        ref = mp_poisson_block_logprob(1e9, lo, lo + length - 1)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_slowly_decaying_far_block_stops_before_its_end(self):
+        # Far above its mean of 500 the pmf of NegativeBinomial(0.05, 1e-4)
+        # falls by about 1e-4 per point, and P = 1e-243, below
+        # TAIL_ROUTE_MIN_PROB: the sum stops after about 410,000 of the
+        # block's 10**6 points.
+        model, scheme, u = NegativeBinomial(0.05, 1e-4), RoundingScheme(10**6), 6 * 10**6
+        block = support_block(u, scheme)
+        lo, hi = block.start, block.stop - 1
+        assert 0 < model.logpmf(lo) - model.logpmf(lo + 1) < 1e-3
+        summed = []
+        model.logpmf = lambda k, logpmf=model.logpmf: summed.append(len(k)) or logpmf(k)
+        got = rounded_logpmf(model, scheme, u)
+        assert sum(summed) < hi - lo + 1
+        # P(Y >= k) = I_{1-p}(k, r), the regularized incomplete beta function.
+        with mp.workdps(40):
+            q, r = 1 - mp.mpf(model.prob), mp.mpf(model.size)
+            ref = mp.log(mp.betainc(lo, r, 0, q, regularized=True)
+                         - mp.betainc(hi + 1, r, 0, q, regularized=True))
+        assert abs(got - ref) < 1e-12
+
+    @pytest.mark.parametrize("scheme", [RoundingScheme(1), RoundingScheme(7, HALF_EVEN)],
+                             ids=repr)
+    def test_blocks_at_the_int64_limit_are_refused(self, scheme):
+        u = scheme.n * (2**63 // scheme.n + 1)
+        for call in (lambda: support_block(u, scheme),
+                     lambda: rounded_logpmf(Poisson(1.0), scheme, u)):
+            with pytest.raises(ValueError, match="int64 limit of 9223372036854775807"):
+                call()
+
+    def test_a_block_below_the_int64_limit_answers(self):
+        assert support_block(10**18, RoundingScheme(1)) == range(10**18, 10**18 + 1)
+        assert rounded_logpmf(Poisson(1.0), RoundingScheme(1), 10**18) == -4.0446531673892820e19
+
+
+# betainc's negative binomial cdf is 1.13e-10 relative off at the mean of
+# NegativeBinomial(5, 1e-6) (ROADMAP open item 4).  Its table at n = 100
+# takes the tail route (392,255 entries) and carries that error: its entry
+# at the mean is 3.06e-9 off a 40-digit sum in log, and the log-likelihood
+# there 3.09e-9.  At n = 10 the table takes the pmf route and is 9e-16 off.
+@pytest.mark.xfail(strict=True, reason="betainc's negative binomial cdf error reaches the "
+                                       "tail-route table and the log-likelihood")
+def test_negative_binomial_cdf_error_at_a_large_mean():
+    model, scheme = NegativeBinomial(5.0, 1e-6), RoundingScheme(100)
+    u = scheme.n * round_count(int(model.mean()), scheme.n)
+    block = support_block(u, scheme)
+    ref = mp_block_logprob(model, block.start, block.stop - 1)
+    table = rounded_pmf(model, scheme)
+    assert table.route == "tails"
+    assert abs(math.log(table.prob(u)) - ref) < 1e-12
+    assert abs(rounded_logpmf(model, scheme, u) - ref) < 1e-12
 
 
 def assert_entries_match_40_digits(model, scheme, table):
@@ -1307,15 +1329,25 @@ class TestRoutedMoments:
         report = MomentReport(1.0, 2.0, 0.0)
         assert report.route == "table" and math.isnan(report.error_bound)
 
-    def test_route_costs_switch_near_the_measured_point(self):
-        # Poisson: the table wins from about n = 460 + 8 entries.
+    # The table wins from n = fixed + per_entry * (its estimated entries):
+    # 448 + 8 * 2.04 for Poisson(1), 448 + 8 * 28.6 for Poisson(1e6), 32 + 5 *
+    # 6.19 and 32 + 5 * 39.8 for the binomials, 416 + 6 * 10.3 and 416 + 6 *
+    # 117.2 for the negative binomials, the estimate falling as n grows.
+    @pytest.mark.parametrize("model, switch", [
+        (Poisson(1.0), 465), (Poisson(1e6), 678), (Binomial(1000, 0.5), 64),
+        (Binomial(10**6, 0.5), 232), (NegativeBinomial(5.0, 0.01), 478),
+        (NegativeBinomial(50.0, 0.001), 1120)], ids=repr)
+    def test_route_switches_at_the_tables_cost_in_roots(self, model, switch):
+        for n, table in ((switch - 1, False), (switch, True)):
+            assert _table_is_cheaper(model, n, TAIL_EPS / n**2) == table, n
+
+    def test_a_long_table_keeps_the_series(self):
+        # An estimated 184, 93 and 93 entries at n = 1000: the binomial table's
+        # entries cost fewer roots.
         tail_eps = TAIL_EPS / 1e6
-        assert not _table_is_cheaper(Poisson(1.0), 400, tail_eps)
-        assert _table_is_cheaper(Poisson(1.0), 600, tail_eps)
-        assert not _table_is_cheaper(Poisson(1e8), 1000, tail_eps)  # about 1,700 entries
-        # A binomial root costs about five times a Poisson one, an entry three times.
-        assert _table_is_cheaper(Binomial(10**8, 0.5), 1000, tail_eps)  # about 90 entries
+        assert not _table_is_cheaper(Poisson(1e8), 1000, tail_eps)
         assert not _table_is_cheaper(Poisson(2.5e7), 1000, tail_eps)
+        assert _table_is_cheaper(Binomial(10**8, 0.5), 1000, tail_eps)
 
 
 class TestSampling:

@@ -74,6 +74,14 @@ def cases(rc) -> list[tuple[str, object]]:
     short_binomial = rc.Binomial(299_002, 0.23233916928100928)
     short_negbin = rc.NegativeBinomial(5.0, 0.3)
     grid = (0.2, 0.35, 0.5, 0.65, 0.8)
+    # Log-likelihood blocks far out in a tail, of 10**6 points and of 3, and
+    # one of 10 points around a mean of 1e14: each sums the latent pmf.
+    unit, huge_mean = rc.Poisson(1.0), rc.Poisson(1e14)
+    million, three_up, ten = rc.RoundingScheme(10**6), rc.RoundingScheme(3), rc.RoundingScheme(10)
+    # Moments of each family below and above the group count at which they
+    # take the table of U instead of the series.
+    moment_models = (rc.Poisson(1.0), rc.Binomial(1000, 0.5), rc.NegativeBinomial(5.0, 0.01))
+    moment_ns = {"poisson": (400, 600), "binomial": (32, 128), "negbinomial": (256, 1024)}
     return [
         ("cdf Poisson(20) at 18", lambda: small.cdf(18)),
         ("sf Binomial(15500, 0.3) at 4700", lambda: binomial.sf(4700)),
@@ -97,6 +105,14 @@ def cases(rc) -> list[tuple[str, object]]:
         ("rounded_pmf Binomial(299_002, 0.2323) n=31",
          lambda: rc.rounded_pmf(short_binomial, thirty_one)),
         ("rounded_pmf NegativeBinomial(5, 0.3) n=1", lambda: rc.rounded_pmf(short_negbin, one)),
+        ("rounded_logpmf Poisson(1) n=10**6 u=10**6",
+         lambda: rc.rounded_logpmf(unit, million, 10**6)),
+        ("rounded_logpmf Poisson(1) n=3 u=600", lambda: rc.rounded_logpmf(unit, three_up, 600)),
+        ("rounded_logpmf Poisson(1e14) n=10 u=1e14",
+         lambda: rc.rounded_logpmf(huge_mean, ten, 10**14)),
+        *[(f"rounded_moments_series {model!r} n={n}",
+           lambda model=model, n=n: rc.rounded_moments_series(model, rc.RoundingScheme(n)))
+          for model in moment_models for n in moment_ns[model.kind]],
         *[(f"true_significance {mode} m=20 n=5 x5",
            lambda mode=mode: rc.true_significance(20, 5, grid, 0.05, mode))
           for mode in ("misspecified-u", "exact-y", "binned-u")],
